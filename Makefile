@@ -40,35 +40,36 @@ test:
 race:
 	go test -race ./...
 
-# bench regenerates the before/after evidence files: baseline drives
-# the retained sequential/refit paths, after the incremental/parallel
-# ones. Compare with benchstat or diff the JSON.
+# bench regenerates the evidence file for this tree. Change over time
+# is measured against the same file at another commit (benchcompare).
 bench:
-	go run ./cmd/bench -legacy -o BENCH_baseline.json
 	go run ./cmd/bench -o BENCH_after.json
 
 # benchsmoke is the -short-guarded quick pass over the same suite —
 # including the cluster placement pipeline (profile cache, admission
-# pre-filter, concurrent screening) in both its legacy and cached
-# modes.
+# pre-filter, concurrent screening).
 benchsmoke:
 	go test -short -run TestBenchSmoke .
 
-# benchcompare diffs the two evidence files and exits non-zero when
-# any shared benchmark regressed more than 20% in ns/op, or in
-# allocs/op / bytes/op past their absolute noise floors.
+# benchcompare diffs the committed evidence (HEAD:BENCH_after.json)
+# against the working tree's and exits non-zero when any shared
+# benchmark regressed more than 20% in ns/op, or in allocs/op /
+# bytes/op past their absolute noise floors. Both files must come from
+# the same machine for the gate to mean anything.
 benchcompare:
-	go run ./cmd/bench -compare BENCH_baseline.json BENCH_after.json
+	git show HEAD:BENCH_after.json > BENCH_head.json
+	go run ./cmd/bench -compare BENCH_head.json BENCH_after.json
 
 # perftable regenerates the README performance table in place from the
-# two evidence files, so the prose numbers cannot drift away from the
+# evidence file, so the prose numbers cannot drift away from the
 # recorded measurements.
 perftable:
-	go run ./cmd/bench -perftable -readme README.md BENCH_baseline.json BENCH_after.json
+	go run ./cmd/bench -perftable -readme README.md BENCH_after.json
 
-# teleoverhead measures CLITERun with telemetry off and on under the
-# standard benchmark driver and fails when the enabled path costs more
-# than 5% — the telemetry layer's cost contract.
+# teleoverhead measures CLITERun with telemetry off and on in
+# interleaved pairs and fails when the median paired ratio shows the
+# enabled path costing more than 5% — the telemetry layer's cost
+# contract.
 teleoverhead:
 	go test -run TestTelemetryOverhead .
 

@@ -6,85 +6,59 @@ import (
 	"clite/internal/benchmarks"
 )
 
-// TestBenchSmoke runs the quick form of the before/after benchmark
-// suite in both modes so the harness behind `make bench` cannot rot:
-// every measured path must execute and report sane numbers. Wired into
-// `make tier1` via the -short run (and exercised under -race with the
-// full suite).
+// TestBenchSmoke runs the quick form of the benchmark suite so the
+// harness behind `make bench` cannot rot: every measured path must
+// execute and report sane numbers. Wired into `make tier1` via the
+// -short run (and exercised under -race with the full suite).
 func TestBenchSmoke(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		cfg  benchmarks.Config
-	}{
-		{"baseline", benchmarks.Config{Legacy: true, Quick: true}},
-		{"after", benchmarks.Config{Quick: true}},
-	} {
-		results := benchmarks.Run(mode.cfg)
-		if len(results) == 0 {
-			t.Fatalf("%s: empty suite", mode.name)
+	results := benchmarks.Run(benchmarks.Config{Quick: true})
+	if len(results) == 0 {
+		t.Fatal("empty suite")
+	}
+	seen := map[string]bool{}
+	for _, r := range results {
+		if r.Name == "" || seen[r.Name] {
+			t.Errorf("bad or duplicate benchmark name %q", r.Name)
 		}
-		seen := map[string]bool{}
-		for _, r := range results {
-			if r.Name == "" || seen[r.Name] {
-				t.Errorf("%s: bad or duplicate benchmark name %q", mode.name, r.Name)
+		seen[r.Name] = true
+		if r.NsPerOp <= 0 {
+			t.Errorf("%s: non-positive ns/op %v", r.Name, r.NsPerOp)
+		}
+		if r.GoBenchLine() == "" {
+			t.Errorf("%s: empty bench line", r.Name)
+		}
+		switch r.Name {
+		case "FleetPlace":
+			// The fleet bench must log its acceptance metrics: live
+			// throughput, the shard-scaling measurement, and a run that
+			// actually decomposed into cells.
+			if r.Extra["placements_per_sec"] <= 0 {
+				t.Errorf("FleetPlace: no throughput recorded: %v", r.Extra)
 			}
-			seen[r.Name] = true
-			if r.NsPerOp <= 0 {
-				t.Errorf("%s/%s: non-positive ns/op %v", mode.name, r.Name, r.NsPerOp)
+			if r.Extra["placements_per_run"] <= 0 {
+				t.Errorf("FleetPlace: no placements recorded: %v", r.Extra)
 			}
-			if r.GoBenchLine() == "" {
-				t.Errorf("%s/%s: empty bench line", mode.name, r.Name)
+			if r.Extra["shard_scaling"] <= 0 {
+				t.Errorf("FleetPlace: no shard-scaling measurement: %v", r.Extra)
 			}
-			if r.Name == "FleetPlace" {
-				// The fleet bench must log its acceptance metrics: a live
-				// throughput figure in both modes, and the shard-scaling
-				// measurement only where shards exist (the baseline is the
-				// monolithic single-domain fleet).
-				if r.Extra["placements_per_sec"] <= 0 {
-					t.Errorf("%s/FleetPlace: no throughput recorded: %v", mode.name, r.Extra)
-				}
-				if r.Extra["placements_per_run"] <= 0 {
-					t.Errorf("%s/FleetPlace: no placements recorded: %v", mode.name, r.Extra)
-				}
-				scaling, logged := r.Extra["shard_scaling"]
-				if mode.cfg.Legacy && logged {
-					t.Errorf("baseline/FleetPlace reported shard scaling %v for the monolith", scaling)
-				}
-				if !mode.cfg.Legacy {
-					if !logged || scaling <= 0 {
-						t.Errorf("after/FleetPlace: no shard-scaling measurement: %v", r.Extra)
-					}
-					if r.Extra["cells"] <= 1 {
-						t.Errorf("after/FleetPlace ran without cell decomposition: %v", r.Extra)
-					}
-				}
+			if r.Extra["cells"] <= 1 {
+				t.Errorf("FleetPlace ran without cell decomposition: %v", r.Extra)
 			}
-			if r.Name != "ClusterPlace" {
-				continue
-			}
-			// The cluster placement bench must log its work ledger: in
-			// after mode the profile cache is live (lookups happen, the
-			// repeated mix hits); in baseline mode the cache is pinned
-			// off and no hit rate may be reported.
+		case "ClusterPlace":
+			// The cluster placement bench must log its work ledger with
+			// the profile cache live: lookups happen and the repeated
+			// mix hits.
 			if r.Extra["placements"] <= 0 {
-				t.Errorf("%s/ClusterPlace: no placements recorded: %v", mode.name, r.Extra)
+				t.Errorf("ClusterPlace: no placements recorded: %v", r.Extra)
 			}
-			hitRate, logged := r.Extra["cache_hit_rate"]
-			if mode.cfg.Legacy && logged {
-				t.Errorf("baseline/ClusterPlace reported a cache hit rate %v with the cache off", hitRate)
-			}
-			if !mode.cfg.Legacy && (!logged || hitRate <= 0) {
-				t.Errorf("after/ClusterPlace: repeated mixes produced no cache hits: %v", r.Extra)
+			if r.Extra["cache_hit_rate"] <= 0 {
+				t.Errorf("ClusterPlace: repeated mixes produced no cache hits: %v", r.Extra)
 			}
 		}
-		if !seen["ClusterPlace"] {
-			t.Errorf("%s: ClusterPlace missing from the suite", mode.name)
-		}
-		if !seen["FleetPlace"] {
-			t.Errorf("%s: FleetPlace missing from the suite", mode.name)
-		}
-		if !seen["CLITERun"] {
-			t.Errorf("%s: CLITERun missing from the suite", mode.name)
+	}
+	for _, name := range []string{"ClusterPlace", "FleetPlace", "CLITERun"} {
+		if !seen[name] {
+			t.Errorf("%s missing from the suite", name)
 		}
 	}
 }

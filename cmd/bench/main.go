@@ -1,18 +1,19 @@
 // Command bench runs the hot-path benchmark suite and serializes the
-// results as JSON, one file per mode:
+// results as JSON:
 //
-//	bench -legacy -o BENCH_baseline.json   # sequential / from-scratch-refit paths
-//	bench -o BENCH_after.json              # incremental / pooled / parallel paths
+//	bench -o BENCH_after.json
 //
 // The classic `go test -bench` lines are printed to stdout as well, so
-// two runs can be diffed with benchstat. `make bench` produces both
-// files. Two result files can also be diffed directly:
+// two runs can be diffed with benchstat. Two result files — typically
+// the same suite run at the base commit and at the change — can also
+// be diffed directly:
 //
-//	bench -compare BENCH_baseline.json BENCH_after.json
+//	bench -compare base.json BENCH_after.json
 //
 // which prints a Δ% table per benchmark and exits non-zero when any
 // shared benchmark regressed by more than 20% ns/op — the CI guard
-// against silently losing a past optimization.
+// against silently losing a past optimization. -perftable renders one
+// result file as the README performance table.
 //
 // -telemetry attaches a live tracer and metrics registry to the
 // telemetry-capable benches; the flag is recorded in the JSON so
@@ -67,7 +68,6 @@ var gatedExtras = []struct {
 // tooling can rely on a stable layout: run metadata first, then the
 // top-level "benchmarks" array in suite order.
 type output struct {
-	Mode       string              `json:"mode"`
 	GoOS       string              `json:"goos"`
 	GoArch     string              `json:"goarch"`
 	NumCPU     int                 `json:"num_cpu"`
@@ -76,11 +76,6 @@ type output struct {
 	Telemetry  bool                `json:"telemetry"`
 	GitRev     string              `json:"git_revision,omitempty"`
 	Benchmarks []benchmarks.Result `json:"benchmarks"`
-
-	// LegacyResults absorbs the pre-rename "results" key so -compare
-	// and -perftable still read old baseline files; it is never
-	// written (load folds it into Benchmarks).
-	LegacyResults []benchmarks.Result `json:"results,omitempty"`
 }
 
 func main() {
@@ -91,11 +86,10 @@ func main() {
 }
 
 func run() error {
-	legacy := flag.Bool("legacy", false, "drive the sequential/refit code paths (baseline mode)")
 	quick := flag.Bool("quick", false, "tiny problem sizes, fixed repetitions (smoke mode)")
 	out := flag.String("o", "", "write JSON results to this file (default stdout)")
 	compare := flag.Bool("compare", false, "compare two result files: bench -compare old.json new.json")
-	perftable := flag.Bool("perftable", false, "render the README perf table: bench -perftable old.json new.json [-readme README.md]")
+	perftable := flag.Bool("perftable", false, "render the README perf table: bench -perftable [-readme README.md] BENCH_after.json")
 	readme := flag.String("readme", "", "with -perftable, splice the table into this file between the perftable markers")
 	withTelemetry := flag.Bool("telemetry", false, "attach a live tracer and metrics registry to the telemetry-capable benches")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the suite run to this file")
@@ -109,18 +103,12 @@ func run() error {
 		return runCompare(flag.Arg(0), flag.Arg(1))
 	}
 	if *perftable {
-		if flag.NArg() != 2 {
-			return fmt.Errorf("-perftable wants exactly two files, got %d args", flag.NArg())
+		if flag.NArg() != 1 {
+			return fmt.Errorf("-perftable wants exactly one file, got %d args", flag.NArg())
 		}
-		return runPerfTable(flag.Arg(0), flag.Arg(1), *readme)
+		return runPerfTable(flag.Arg(0), *readme)
 	}
 
-	mode := "after"
-	workers := par.Count(0)
-	if *legacy {
-		mode = "baseline"
-		workers = 1
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -132,7 +120,7 @@ func run() error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	results := benchmarks.Run(benchmarks.Config{Legacy: *legacy, Quick: *quick, Telemetry: *withTelemetry})
+	results := benchmarks.Run(benchmarks.Config{Quick: *quick, Telemetry: *withTelemetry})
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
@@ -149,14 +137,13 @@ func run() error {
 	}
 
 	doc := output{
-		Mode:       mode,
 		GoOS:       runtime.GOOS,
 		GoArch:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Workers:    workers,
+		Workers:    par.Count(0),
 		Telemetry:  *withTelemetry,
-		GitRev:     gitRevision(),
+		GitRev:     gitRevision(*out),
 		Benchmarks: results,
 	}
 	blob, err := json.MarshalIndent(doc, "", "  ")
@@ -173,20 +160,42 @@ func run() error {
 
 // gitRevision resolves the source revision: the build-info VCS stamp
 // when the binary carries one, else a direct `git rev-parse`, else
-// empty (results stay usable without provenance).
-func gitRevision() string {
+// empty (results stay usable without provenance). A tree with
+// uncommitted changes to tracked files, other than the output file
+// itself, gets a "-dirty" suffix, so evidence measured before a commit
+// never names its parent as the source.
+func gitRevision(out string) string {
 	if info, ok := debug.ReadBuildInfo(); ok {
+		rev, dirty := "", false
 		for _, s := range info.Settings {
-			if s.Key == "vcs.revision" && s.Value != "" {
-				return s.Value
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				dirty = s.Value == "true"
 			}
 		}
+		if rev != "" {
+			return markDirty(rev, dirty)
+		}
 	}
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	head, err := exec.Command("git", "rev-parse", "HEAD").Output()
 	if err != nil {
 		return ""
 	}
-	return strings.TrimSpace(string(out))
+	args := []string{"status", "--porcelain", "--untracked-files=no"}
+	if out != "" {
+		args = append(args, "--", ".", ":(exclude)"+out)
+	}
+	status, err := exec.Command("git", args...).Output()
+	return markDirty(strings.TrimSpace(string(head)), err != nil || strings.TrimSpace(string(status)) != "")
+}
+
+func markDirty(rev string, dirty bool) string {
+	if dirty {
+		return rev + "-dirty"
+	}
+	return rev
 }
 
 func load(path string) (output, error) {
@@ -198,10 +207,6 @@ func load(path string) (output, error) {
 	if err := json.Unmarshal(blob, &doc); err != nil {
 		return doc, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(doc.Benchmarks) == 0 {
-		doc.Benchmarks = doc.LegacyResults
-	}
-	doc.LegacyResults = nil
 	return doc, nil
 }
 
@@ -318,41 +323,30 @@ const (
 	perftableEnd   = "<!-- perftable:end -->"
 )
 
-// runPerfTable renders the README performance table from a baseline
-// and an after result file. With readmePath empty the markdown goes to
-// stdout; otherwise it replaces the block between the perftable
-// markers in that file, which is how `make perftable` keeps the README
-// numbers from drifting away from BENCH_after.json.
-func runPerfTable(oldPath, newPath, readmePath string) error {
-	oldDoc, err := load(oldPath)
+// runPerfTable renders the README performance table from one result
+// file. With readmePath empty the markdown goes to stdout; otherwise
+// it replaces the block between the perftable markers in that file,
+// which is how `make perftable` keeps the README numbers from drifting
+// away from BENCH_after.json. Change-over-time comparisons are
+// -compare's job, against the same file at another commit.
+func runPerfTable(path, readmePath string) error {
+	doc, err := load(path)
 	if err != nil {
 		return err
-	}
-	newDoc, err := load(newPath)
-	if err != nil {
-		return err
-	}
-	oldBy := make(map[string]benchmarks.Result, len(oldDoc.Benchmarks))
-	for _, r := range oldDoc.Benchmarks {
-		oldBy[r.Name] = r
 	}
 	var sb strings.Builder
-	sb.WriteString("| benchmark | baseline | after | time | allocs/op |\n")
-	sb.WriteString("|---|---|---|---|---|\n")
-	for _, nr := range newDoc.Benchmarks {
-		or, ok := oldBy[nr.Name]
-		if !ok {
-			fmt.Fprintf(&sb, "| `%s` | — | %s | — | %d |\n",
-				nr.Name, humanNs(nr.NsPerOp), nr.AllocsPerOp)
-			continue
-		}
-		speedup := "—"
-		if nr.NsPerOp > 0 {
-			speedup = fmt.Sprintf("**%.1f×**", or.NsPerOp/nr.NsPerOp)
-		}
-		fmt.Fprintf(&sb, "| `%s` | %s | %s | %s | %d → %d |\n",
-			nr.Name, humanNs(or.NsPerOp), humanNs(nr.NsPerOp),
-			speedup, or.AllocsPerOp, nr.AllocsPerOp)
+	rev, dirty := strings.CutSuffix(doc.GitRev, "-dirty")
+	if len(rev) > 7 {
+		rev = rev[:7]
+	}
+	rev = markDirty(rev, dirty)
+	fmt.Fprintf(&sb, "Measured at `%s` on %s/%s, %d CPUs (GOMAXPROCS %d).\n\n",
+		rev, doc.GoOS, doc.GoArch, doc.NumCPU, doc.GoMaxProcs)
+	sb.WriteString("| benchmark | time/op | B/op | allocs/op |\n")
+	sb.WriteString("|---|---|---|---|\n")
+	for _, r := range doc.Benchmarks {
+		fmt.Fprintf(&sb, "| `%s` | %s | %d | %d |\n",
+			r.Name, humanNs(r.NsPerOp), r.BytesPerOp, r.AllocsPerOp)
 	}
 	table := sb.String()
 	if readmePath == "" {

@@ -12,7 +12,7 @@ import (
 
 func writeDoc(t *testing.T, dir, name string, results []benchmarks.Result) string {
 	t.Helper()
-	doc := output{Mode: "test", Benchmarks: results}
+	doc := output{Benchmarks: results}
 	blob, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
@@ -90,5 +90,71 @@ func TestRunCompareGatesExtras(t *testing.T) {
 	}})
 	if err := runCompare(oldPath, okPath); err != nil {
 		t.Errorf("within-tolerance run failed: %v", err)
+	}
+}
+
+// TestPerfTableSplicesOneFile renders the README table from a single
+// result file and checks it replaces only the marked block.
+func TestPerfTableSplicesOneFile(t *testing.T) {
+	dir := t.TempDir()
+	path := writeDoc(t, dir, "after.json", []benchmarks.Result{
+		{Name: "GPFit", NsPerOp: 83200, BytesPerOp: 512, AllocsPerOp: 1},
+		{Name: "FleetPlace", NsPerOp: 94.5e6, BytesPerOp: 3 << 20, AllocsPerOp: 733141},
+	})
+	readme := filepath.Join(dir, "README.md")
+	before := "intro\n" + perftableBegin + "\nstale table\n" + perftableEnd + "\noutro\n"
+	if err := os.WriteFile(readme, []byte(before), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runPerfTable(path, readme); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(readme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := string(blob)
+	for _, want := range []string{
+		"intro\n" + perftableBegin + "\n",
+		"| `GPFit` | 83.2 µs | 512 | 1 |\n",
+		"| `FleetPlace` | 94.50 ms | 3145728 | 733141 |\n",
+		perftableEnd + "\noutro\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("spliced README lacks %q:\n%s", want, got)
+		}
+	}
+	if strings.Contains(got, "stale table") {
+		t.Errorf("stale table survived the splice:\n%s", got)
+	}
+}
+
+// TestPerfTableKeepsDirtyMark checks the table header shortens the
+// revision to seven characters without dropping the "-dirty" suffix
+// that marks evidence measured on an uncommitted tree.
+func TestPerfTableKeepsDirtyMark(t *testing.T) {
+	dir := t.TempDir()
+	for rev, want := range map[string]string{
+		"d4e55f2c0ffee":       "Measured at `d4e55f2` ",
+		"d4e55f2c0ffee-dirty": "Measured at `d4e55f2-dirty` ",
+	} {
+		path := filepath.Join(dir, "after.json")
+		if err := os.WriteFile(path, []byte(`{"git_revision":"`+rev+`"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		readme := filepath.Join(dir, "README.md")
+		if err := os.WriteFile(readme, []byte(perftableBegin+"\n"+perftableEnd+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := runPerfTable(path, readme); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := os.ReadFile(readme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(blob), want) {
+			t.Errorf("revision %q: header lacks %q:\n%s", rev, want, blob)
+		}
 	}
 }

@@ -1,15 +1,12 @@
-// Package benchmarks is the repo's before/after benchmark harness: a
-// fixed suite of hot-path measurements (surrogate update, posterior
-// prediction, acquisition maximization, ORACLE sweep, one BO engine
-// turn, one cluster placement) runnable in two modes. Legacy drives
-// the retained sequential and from-scratch-refit paths (FitMLEWorkers
-// at one worker, the DisableIncrementalFit engine, Oracle and Maximize
-// pinned to one worker, the scheduler with the profile cache and
-// pre-filter off); the default drives the incremental, pooled,
-// parallel, cached paths. cmd/bench serializes the two runs to
-// BENCH_baseline.json and BENCH_after.json, and the tier-1 smoke test
-// runs the quick form of the same suite so the harness itself cannot
-// rot.
+// Package benchmarks is the repo's hot-path benchmark harness: a
+// fixed suite of measurements (surrogate update, posterior prediction,
+// acquisition maximization, ORACLE sweep, one BO engine turn, one
+// controller run, one cluster placement, one fleet simulation) over
+// the incremental, pooled, parallel, cached paths the controller
+// actually runs. cmd/bench serializes a run to BENCH_after.json and
+// compares it against the same file at another commit; the tier-1
+// smoke test runs the quick form of the suite so the harness itself
+// cannot rot.
 package benchmarks
 
 import (
@@ -35,9 +32,6 @@ import (
 
 // Config selects the suite variant.
 type Config struct {
-	// Legacy drives the sequential/refit code paths instead of the
-	// incremental/parallel ones.
-	Legacy bool
 	// Quick shrinks problem sizes and replaces testing.Benchmark with
 	// a fixed-repetition manual timing pass — the tier-1 smoke form.
 	Quick bool
@@ -72,13 +66,6 @@ type Result struct {
 func (r Result) GoBenchLine() string {
 	return fmt.Sprintf("Benchmark%s 1 %.0f ns/op %d B/op %d allocs/op",
 		r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-}
-
-func (c Config) workers() int {
-	if c.Legacy {
-		return 1
-	}
-	return 0
 }
 
 // bench is one suite entry's instantiated form: the timed operation,
@@ -153,36 +140,80 @@ func measure(name string, b bench) Result {
 	}
 }
 
-// TelemetryOverhead times CLITERun with telemetry off and then on,
-// under the standard benchmark driver (stable enough for a tolerance
-// check even at quick problem sizes). The tier-1 overhead smoke test
-// asserts the enabled path lands within a few percent of the disabled
-// one — the telemetry layer's headline cost contract.
-func TelemetryOverhead(quick bool) (off, on Result) {
-	off = measure("CLITERun", cliteRun(Config{Quick: quick}))
-	on = measure("CLITERun", cliteRun(Config{Quick: quick, Telemetry: true}))
-	return off, on
+// Overhead is one interleaved off/on measurement: the off and on ops
+// run back to back, alternating which goes first, for at least
+// overheadMinPairs pairs and until overheadBudget of wall time has
+// passed, each op timed on the wall clock. The two ops of a pair
+// share the machine's load at that moment, so the overhead gates
+// compare Ratio, the median of the per-pair on/off ratios: a burst
+// from a neighbouring process lands on one pair, which the median
+// discards, instead of on one side. The off and on benches keep their
+// own seed counters, so pair i runs the same seed on both sides.
+type Overhead struct {
+	OffNs, OnNs float64 // per-side median ns/op
+	Ratio       float64 // median of per-pair on/off ratios
+	Pairs       int
 }
 
-// ObsOverheadCLITE times CLITERun with telemetry enabled, and then
-// with the SLO observability plane tapped on top: store construction,
-// job registration, and every per-event sink callback are all charged
-// to the op. The tier-1 gate asserts the tapped run lands within 5%
-// of the telemetry-only run.
-func ObsOverheadCLITE(quick bool) (off, on Result) {
-	off = measure("CLITERun", cliteRun(Config{Quick: quick, Telemetry: true}))
-	on = measure("CLITERun", cliteRun(Config{Quick: quick, Telemetry: true, Obs: true}))
-	return off, on
+const (
+	overheadMinPairs = 5
+	overheadBudget   = 2 * time.Second
+)
+
+// pairedOverhead runs the interleaved off/on measurement.
+func pairedOverhead(off, on bench) Overhead {
+	off.op() // warm both sides (code paths, pools, calibration caches)
+	on.op()
+	timeOp := func(op func()) float64 {
+		start := time.Now()
+		op()
+		return float64(time.Since(start))
+	}
+	var offNs, onNs, ratios []float64
+	start := time.Now()
+	for i := 0; i < overheadMinPairs || time.Since(start) < overheadBudget; i++ {
+		var a, b float64
+		if i%2 == 0 {
+			a = timeOp(off.op)
+			b = timeOp(on.op)
+		} else {
+			b = timeOp(on.op)
+			a = timeOp(off.op)
+		}
+		offNs, onNs, ratios = append(offNs, a), append(onNs, b), append(ratios, b/a)
+	}
+	return Overhead{
+		OffNs: stats.Percentile(offNs, 50),
+		OnNs:  stats.Percentile(onNs, 50),
+		Ratio: stats.Percentile(ratios, 50),
+		Pairs: len(ratios),
+	}
 }
 
-// ObsOverheadFleet times FleetPlace with and without an SLO store fed
+// TelemetryOverhead pairs CLITERun with telemetry off and on. The
+// tier-1 overhead smoke test asserts the enabled path lands within a
+// few percent of the disabled one — the telemetry layer's headline
+// cost contract.
+func TelemetryOverhead(quick bool) Overhead {
+	return pairedOverhead(cliteRun(Config{Quick: quick}), cliteRun(Config{Quick: quick, Telemetry: true}))
+}
+
+// ObsOverheadCLITE pairs CLITERun with telemetry enabled against the
+// same run with the SLO observability plane tapped on top: store
+// construction, job registration, and every per-event sink callback
+// are all charged to the op. The tier-1 gate asserts the tapped run
+// lands within 5% of the telemetry-only run.
+func ObsOverheadCLITE(quick bool) Overhead {
+	return pairedOverhead(cliteRun(Config{Quick: quick, Telemetry: true}),
+		cliteRun(Config{Quick: quick, Telemetry: true, Obs: true}))
+}
+
+// ObsOverheadFleet pairs FleetPlace with and without an SLO store fed
 // per-cell rollups at each epoch barrier. The barrier feed is the
 // fleet's only obs touchpoint, so the contract is looser than the
 // serving plane's: the tier-1 gate allows 10%.
-func ObsOverheadFleet(quick bool) (off, on Result) {
-	off = measure("FleetPlace", fleetPlace(Config{Quick: quick}))
-	on = measure("FleetPlace", fleetPlace(Config{Quick: quick, Obs: true}))
-	return off, on
+func ObsOverheadFleet(quick bool) Overhead {
+	return pairedOverhead(fleetPlace(Config{Quick: quick}), fleetPlace(Config{Quick: quick, Obs: true}))
 }
 
 // quickMeasure times a handful of repetitions directly — enough to
@@ -222,8 +253,8 @@ func gpData(n, dim int, seed int64) ([][]float64, []float64) {
 }
 
 // gpFit measures one per-iteration surrogate update at n≈50 (quick:
-// n=16): legacy refits the whole hyperparameter grid from scratch,
-// the default extends every retained factor by one row and re-selects.
+// n=16): every retained factor of the hyperparameter grid is
+// extended by one row and the model re-selected.
 func gpFit(cfg Config) bench {
 	n, dim := 50, 15
 	if cfg.Quick {
@@ -231,14 +262,7 @@ func gpFit(cfg Config) bench {
 	}
 	const window = 10
 	xs, ys := gpData(n+window, dim, 1)
-	if cfg.Legacy {
-		return bench{op: func() {
-			if _, err := gp.FitMLEWorkers("matern52", xs[:n], ys[:n], 1); err != nil {
-				panic(err)
-			}
-		}}
-	}
-	pool, err := gp.NewPool("matern52", cfg.workers())
+	pool, err := gp.NewPool("matern52", 0)
 	if err != nil {
 		panic(err)
 	}
@@ -265,27 +289,19 @@ func gpFit(cfg Config) bench {
 	return bench{op: op, reset: reset, every: window}
 }
 
-// gpPredict measures one posterior evaluation: legacy through the
-// allocating Predict, the default through PredictWith and a reused
-// buffer.
+// gpPredict measures one posterior evaluation through PredictWith and
+// a reused buffer.
 func gpPredict(cfg Config) bench {
 	n, dim := 50, 15
 	if cfg.Quick {
 		n, dim = 16, 8
 	}
 	xs, ys := gpData(n, dim, 2)
-	model, err := gp.FitMLEWorkers("matern52", xs, ys, cfg.workers())
+	model, err := gp.FitMLE("matern52", xs, ys)
 	if err != nil {
 		panic(err)
 	}
 	probe := xs[0]
-	if cfg.Legacy {
-		return bench{op: func() {
-			if _, _, err := model.Predict(probe); err != nil {
-				panic(err)
-			}
-		}}
-	}
 	var buf gp.PredictBuf
 	return bench{op: func() {
 		if _, _, err := model.PredictWith(&buf, probe); err != nil {
@@ -295,8 +311,8 @@ func gpPredict(cfg Config) bench {
 }
 
 // acquisitionMaximize measures one constrained multi-start EI-shaped
-// maximization over the partition polytope, sequential in legacy mode
-// and pool-fanned otherwise.
+// maximization over the partition polytope, its starts fanned out
+// over the worker pool.
 func acquisitionMaximize(cfg Config) bench {
 	topo := resource.Default()
 	nJobs := 3
@@ -314,20 +330,15 @@ func acquisitionMaximize(cfg Config) bench {
 		}
 		return s
 	}
-	seed := int64(0)
-	// The default path carries the multi-start arena across ops and
-	// scores gradient probes in batches, as the engine does; legacy
-	// allocates fresh per-start storage and probes point by point.
-	var scratch *optimize.Scratch
-	var batch func(xs [][]float64, out []float64)
-	if !cfg.Legacy {
-		scratch = new(optimize.Scratch)
-		batch = func(xs [][]float64, out []float64) {
-			for i, x := range xs {
-				out[i] = objective(x)
-			}
+	// The multi-start arena carries across ops and gradient probes are
+	// scored in batches, as the engine does.
+	scratch := new(optimize.Scratch)
+	batch := func(xs [][]float64, out []float64) {
+		for i, x := range xs {
+			out[i] = objective(x)
 		}
 	}
+	seed := int64(0)
 	return bench{op: func() {
 		seed++
 		optimize.Maximize(optimize.Problem{
@@ -337,7 +348,6 @@ func acquisitionMaximize(cfg Config) bench {
 			FrozenJob:      -1,
 			Iterations:     iters,
 			RNG:            stats.NewRNG(seed),
-			Workers:        cfg.workers(),
 			Scratch:        scratch,
 		})
 	}}
@@ -357,23 +367,22 @@ func benchMachine(seed int64) *server.Machine {
 	return m
 }
 
-// oracleSweep measures the offline brute-force baseline. Legacy
-// drives the retained full-walk/string-memo/per-config-ScoreJobs
-// sweep at one worker; the default drives the block-sharded sweep
-// with packed memo keys and cached log-term scoring, pinned at four
-// workers — the acceptance configuration, which block sharding makes
-// no slower than one worker even on a single core.
+// oracleSweep measures the offline brute-force baseline: the
+// block-sharded sweep over the precomputed measurement table with
+// cached log-term scoring, pinned at four workers outside quick mode —
+// the acceptance configuration, which block sharding makes no slower
+// than one worker even on a single core.
 func oracleSweep(cfg Config) bench {
 	m := benchMachine(1)
 	budget := 0 // default 200k grid
 	if cfg.Quick {
 		budget = 2000
 	}
-	workers := cfg.workers()
-	if !cfg.Legacy && !cfg.Quick {
+	workers := 0
+	if !cfg.Quick {
 		workers = 4
 	}
-	oracle := policies.Oracle{Budget: budget, Workers: workers, Legacy: cfg.Legacy}
+	oracle := policies.Oracle{Budget: budget, Workers: workers}
 	return bench{op: func() {
 		if _, err := oracle.Run(m); err != nil {
 			panic(err)
@@ -382,9 +391,7 @@ func oracleSweep(cfg Config) bench {
 }
 
 // boEngineIteration measures short engine runs (fit + acquisition +
-// candidate selection per turn). Legacy disables the incremental
-// surrogate, the batched acquisition, and the worker pools, with a
-// fresh engine per run; the default drives a Runner whose arenas —
+// candidate selection per turn) through a Runner whose arenas —
 // sample storage, seen-set, surrogate factors, multi-start and
 // gradient scratch — persist across runs, the steady state of a
 // controller re-optimizing after load changes.
@@ -405,20 +412,6 @@ func boEngineIteration(cfg Config) bench {
 		return bo.Evaluation{Score: s / 20, JobPerf: jobPerf}, nil
 	}
 	seed := int64(0)
-	if cfg.Legacy {
-		return bench{op: func() {
-			seed++
-			if _, err := bo.Run(topo, 2, eval, bo.Options{
-				Seed:                  seed,
-				MaxIterations:         maxIter,
-				Workers:               1,
-				DisableIncrementalFit: true,
-				DisableBatchedEI:      true,
-			}); err != nil {
-				panic(err)
-			}
-		}}
-	}
 	runner, err := bo.NewRunner(topo, 2)
 	if err != nil {
 		panic(err)
@@ -428,7 +421,6 @@ func boEngineIteration(cfg Config) bench {
 		if _, err := runner.Run(eval, bo.Options{
 			Seed:          seed,
 			MaxIterations: maxIter,
-			Workers:       cfg.workers(),
 		}); err != nil {
 			panic(err)
 		}
@@ -451,12 +443,7 @@ func cliteRun(cfg Config) bench {
 	op := func() {
 		seed++
 		m := benchMachine(seed)
-		opts := core.Options{BO: bo.Options{
-			Seed:                  seed,
-			MaxIterations:         maxIter,
-			Workers:               cfg.workers(),
-			DisableIncrementalFit: cfg.Legacy,
-		}}
+		opts := core.Options{BO: bo.Options{Seed: seed, MaxIterations: maxIter}}
 		if cfg.Telemetry {
 			opts.Trace = telemetry.NewTracer()
 			opts.Metrics = telemetry.NewRegistry()
@@ -502,12 +489,11 @@ func cliteRun(cfg Config) bench {
 // clusterPlace measures one placement decision of a sustained,
 // repetitive request stream against an 8-node pool — the profile
 // cache, admission pre-filter, and concurrent screening pipeline end
-// to end. Legacy pins all three layers off (cold sequential screening,
-// the pre-cache admission path). The scheduler is rebuilt after each
-// full pass so the pool never saturates; repeats land within a pass,
-// which is where the cache earns its keep. Extra logs the work
-// ledger: BO iterations per placement and the cache hit rate, the
-// acceptance metrics for the pipeline.
+// to end. The scheduler is rebuilt after each full pass so the pool
+// never saturates; repeats land within a pass, which is where the
+// cache earns its keep. Extra logs the work ledger: BO iterations per
+// placement and the cache hit rate, the acceptance metrics for the
+// pipeline.
 func clusterPlace(cfg Config) bench {
 	nodes, iters := 8, 6
 	if cfg.Quick {
@@ -526,19 +512,13 @@ func clusterPlace(cfg Config) bench {
 	// The profile cache outlives each per-pass scheduler — the
 	// warehouse-wide profile store — so steady-state passes admit from
 	// memoized screens.
-	var shared *profile.Cache
-	if !cfg.Legacy {
-		shared = profile.NewCache(resource.Default())
-	}
+	shared := profile.NewCache(resource.Default())
 	newSched := func() *cluster.Scheduler {
 		return cluster.New(cluster.Options{
-			Nodes:               nodes,
-			Seed:                42,
-			ScreenIterations:    iters,
-			ScreenWorkers:       cfg.workers(),
-			DisableProfileCache: cfg.Legacy,
-			DisablePrefilter:    cfg.Legacy,
-			SharedProfiles:      shared,
+			Nodes:            nodes,
+			Seed:             42,
+			ScreenIterations: iters,
+			SharedProfiles:   shared,
 		})
 	}
 	sched := newSched()
@@ -578,26 +558,18 @@ func clusterPlace(cfg Config) bench {
 // fleetPlace measures warehouse-scale placement throughput: one op is
 // a complete fleet simulation — streamed arrivals and departures over
 // a thousand nodes (quick: 128), every placement through the full
-// pre-filter → cache → BO pipeline. Legacy runs the fleet as one
-// monolithic scheduling domain (a single cell spanning every node,
-// one shard), the state of the world before the fleet layer: each
-// arrival assesses the whole fleet and all screening serializes. The
-// default carves the fleet into 64-node cells run by four shards.
-// Extra logs the acceptance metrics: end-to-end placements per
-// wall-clock second, the profile-cache hit rate, and — default mode
-// only — the measured throughput scaling from one shard to the
-// configured count (≈1 on a single-core box, where the cell
-// decomposition's structural win is what the ns/op comparison shows;
-// the shards only stretch out on real cores).
+// pre-filter → cache → BO pipeline, the fleet carved into 64-node
+// cells run by four shards. Extra logs the acceptance metrics:
+// end-to-end placements per wall-clock second, the profile-cache hit
+// rate, and the measured throughput scaling from one shard to the
+// configured count (≈1 on a single-core box; the shards only stretch
+// out on real cores).
 func fleetPlace(cfg Config) bench {
 	nodes, cellNodes, shards := 1024, 64, 4
 	duration := 30.0
 	if cfg.Quick {
 		nodes, cellNodes, shards = 128, 32, 2
 		duration = 4
-	}
-	if cfg.Legacy {
-		cellNodes, shards = nodes, 1
 	}
 	newOpts := func(seed int64, shards int) fleet.Options {
 		o := fleet.Options{
@@ -653,7 +625,7 @@ func fleetPlace(cfg Config) bench {
 		if lookups := last.Cluster.CacheHits + last.Cluster.CacheMisses; lookups > 0 {
 			out["cache_hit_rate"] = float64(last.Cluster.CacheHits) / float64(lookups)
 		}
-		if !cfg.Legacy && runs > 0 {
+		if runs > 0 {
 			// One untimed single-shard replay of the last seed measures
 			// how much the shards themselves buy on this machine. The
 			// decisions are byte-identical by construction; only the wall

@@ -98,30 +98,12 @@ type Options struct {
 	// run; callers should seed only from previously feasible runs.
 	// ExtraBootstrap is still appended on top.
 	SeedConfigs []resource.Config
-	// RandomNeighborFallback uses a random unseen neighbour instead of
-	// the objective-ranked one when integer rounding collapses onto an
-	// already-sampled configuration (ablation).
-	RandomNeighborFallback bool
 	// Workers bounds the worker pools inside the decision loop —
 	// surrogate conditioning across the hyperparameter grid and the
 	// acquisition multi-starts. 0 means NumCPU, 1 forces the
 	// sequential paths; results are byte-identical either way
 	// (DESIGN.md §8).
 	Workers int
-	// DisableIncrementalFit refits the surrogate from scratch every
-	// iteration (the pre-incremental O(n³) path) instead of extending
-	// the retained Cholesky factors by one row. Kept as an ablation
-	// and benchmarking switch; the incremental-conditioning tests pin
-	// the two paths to each other.
-	DisableIncrementalFit bool
-	// DisableBatchedEI routes the acquisition maximizer's
-	// finite-difference probes through per-point posterior calls
-	// instead of one batched PredictBatch per gradient (the
-	// pre-batching path). Decisions are byte-identical either way —
-	// the batched path restructures only scheduling, never a point's
-	// operation chain — so this is purely a benchmarking/ablation
-	// switch; the decision-identity test pins the two paths.
-	DisableBatchedEI bool
 	// Trace, when non-nil, receives the per-iteration timeline
 	// (BOIteration and Termination events). Events carry only
 	// iteration numbers and scores — never wall-clock readings — so a
@@ -394,9 +376,6 @@ func (r *Runner) Run(eval EvalFunc, opts Options) (Result, error) {
 			objective = e.meanObjFn
 			batchObjective = e.meanBatchFn
 		}
-		if opts.DisableBatchedEI {
-			batchObjective = nil
-		}
 		starts := e.collectStarts(e.best())
 		problem := optimize.Problem{
 			Topo: topo, NJobs: nJobs,
@@ -432,11 +411,7 @@ func (r *Runner) Run(eval EvalFunc, opts Options) (Result, error) {
 			// configuration; probe an unseen neighbour instead so the
 			// window is not wasted re-measuring a known point.
 			mCollisions.Inc()
-			if opts.RandomNeighborFallback {
-				cfg = e.perturb(cfg, rng)
-			} else {
-				cfg = e.bestUnseenNeighbor(cfg, objective, rng)
-			}
+			cfg = e.bestUnseenNeighbor(cfg, objective, rng)
 		}
 		if err := e.evaluate(cfg, eval); err != nil {
 			return Result{}, err
@@ -848,26 +823,12 @@ func fixedHyperModel(family string) (*gp.GP, error) {
 // default path is incremental: the retained Cholesky factors are
 // extended by one row per new observation (O(grid·n²) per iteration),
 // and model selection over the hyperparameter grid is recomputed from
-// the cached log marginal likelihoods. DisableIncrementalFit falls
-// back to refitting everything from scratch (O(grid·n³)); the two
-// paths select the same model — the equivalence test pins it.
+// the cached log marginal likelihoods. It selects the same model a
+// from-scratch gp.FitMLE over the same samples would (O(grid·n³)) —
+// the equivalence test pins it.
 func (e *engine) fit(family string) (*gp.GP, error) {
 	n := len(e.samples)
 	e.mFitSamples.Observe(float64(n))
-	if e.opts.DisableIncrementalFit {
-		e.mFitRefits.Inc()
-		if n < mleMinSamples {
-			model, err := fixedHyperModel(family)
-			if err != nil {
-				return nil, err
-			}
-			if err := model.Fit(e.normXs[:n], e.ys[:n]); err != nil {
-				return nil, err
-			}
-			return model, nil
-		}
-		return gp.FitMLEWorkers(family, e.normXs[:n], e.ys[:n], e.opts.Workers)
-	}
 	if n < mleMinSamples {
 		if e.fixed == nil {
 			model, err := fixedHyperModel(family)

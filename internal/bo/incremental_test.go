@@ -1,9 +1,13 @@
 package bo
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
+	"clite/internal/gp"
 	"clite/internal/resource"
+	"clite/internal/stats"
 )
 
 // runTrace captures everything downstream code consumes from a Run.
@@ -57,23 +61,83 @@ func diffTraces(t *testing.T, label string, a, b runTrace) {
 	}
 }
 
-// TestIncrementalFitMatchesRefit runs the engine with the incremental
-// surrogate path (rank-1 Cholesky appends against the retained grid of
-// models) and with DisableIncrementalFit (fresh O(n³) refits every
-// iteration) and demands the entire decision sequence — every sampled
-// configuration, every score, the termination point, and the returned
-// best — be identical. The surrogate posteriors agree to rounding
-// error, so any divergence means the incremental path changed an
-// argmax somewhere.
+// TestIncrementalFitMatchesRefit pins the engine's incremental
+// surrogate (rank-1 Cholesky appends against the retained grid of
+// models) to a from-scratch reference at every iteration of seeded
+// runs. The evaluator runs right after the engine publishes the
+// iteration's fitted model, so it checks that model against
+// gp.FitMLEWorkers over the same samples (below mleMinSamples, the
+// fixed-hyperparameter model refit from scratch): the same
+// hyperparameters must be selected, and the posterior mean and
+// variance must agree within 1e-10 at every sample and at 64 random
+// points.
 func TestIncrementalFitMatchesRefit(t *testing.T) {
+	const (
+		nJobs  = 3
+		probes = 64
+		tol    = 1e-10
+	)
 	topo := resource.Small()
 	for seed := int64(1); seed <= 4; seed++ {
+		r, err := NewRunner(topo, nJobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := r.e
 		opts := Options{Seed: seed, MaxIterations: 20}
-		inc := traceOf(t, topo, 3, opts)
-		ref := opts
-		ref.DisableIncrementalFit = true
-		refit := traceOf(t, topo, 3, ref)
-		diffTraces(t, "incremental vs refit", inc, refit)
+		family := opts.kernelFamily()
+		bowl := bowlEval(topo, mustTarget(topo, nJobs, seed+100))
+		rng := stats.NewRNG(seed + 1000)
+		probe := make([]float64, len(e.topo)*nJobs)
+		checked := 0
+		eval := func(cfg resource.Config) (Evaluation, error) {
+			if inc := e.curModel; inc != nil {
+				n := len(e.samples)
+				xs, ys := e.normXs[:n], e.ys[:n]
+				var ref *gp.GP
+				var err error
+				if n < mleMinSamples {
+					if ref, err = fixedHyperModel(family); err == nil {
+						err = ref.Fit(xs, ys)
+					}
+				} else {
+					ref, err = gp.FitMLEWorkers(family, xs, ys, 1)
+				}
+				if err != nil {
+					t.Fatalf("seed %d n=%d: reference fit: %v", seed, n, err)
+				}
+				if !reflect.DeepEqual(inc.Kernel(), ref.Kernel()) {
+					t.Fatalf("seed %d n=%d: incremental kernel %+v, refit %+v", seed, n, inc.Kernel(), ref.Kernel())
+				}
+				points := append([][]float64(nil), xs...)
+				for i := 0; i < probes; i++ {
+					for d := range probe {
+						probe[d] = rng.Float64()
+					}
+					points = append(points, append([]float64(nil), probe...))
+				}
+				for i, x := range points {
+					im, is, err1 := inc.Predict(x)
+					rm, rs, err2 := ref.Predict(x)
+					if err1 != nil || err2 != nil {
+						t.Fatalf("seed %d n=%d: predict: %v / %v", seed, n, err1, err2)
+					}
+					if math.Abs(im-rm) > tol || math.Abs(is*is-rs*rs) > tol {
+						t.Fatalf("seed %d n=%d point %d: incremental posterior (%v, %v²), refit (%v, %v²)",
+							seed, n, i, im, is, rm, rs)
+					}
+				}
+				checked++
+			}
+			return bowl(cfg)
+		}
+		res, err := r.Run(eval, opts)
+		if err != nil {
+			t.Fatalf("seed %d: Run: %v", seed, err)
+		}
+		if checked != res.Iterations {
+			t.Fatalf("seed %d: checked %d fits over %d iterations", seed, checked, res.Iterations)
+		}
 	}
 }
 

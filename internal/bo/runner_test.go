@@ -1,25 +1,57 @@
 package bo
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"clite/internal/resource"
 )
 
-// TestBatchedEIMatchesScalar runs the engine with the batched
-// acquisition path (gradient probes scored through one PredictBatch
-// call) and with DisableBatchedEI (per-point posterior calls) and
-// demands the entire decision sequence be identical: batching
+// TestBatchedEIMatchesScalar intercepts the batched EI and
+// posterior-mean objectives the engine hands the acquisition maximizer
+// and, on every batch of probe rows a seeded run produces, demands each
+// output equal the per-row scalar objective bit for bit: batching
 // restructures only the scheduling across probe points, never a
-// point's operation chain, so any divergence is a bug.
+// point's operation chain.
 func TestBatchedEIMatchesScalar(t *testing.T) {
 	topo := resource.Small()
 	for seed := int64(1); seed <= 4; seed++ {
-		opts := Options{Seed: seed, MaxIterations: 20}
-		batched := traceOf(t, topo, 3, opts)
-		scalar := opts
-		scalar.DisableBatchedEI = true
-		diffTraces(t, "batched vs scalar EI", batched, traceOf(t, topo, 3, scalar))
+		r, err := NewRunner(topo, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := r.e
+		var rows [2]int
+		mismatches, first := 0, ""
+		check := func(kind int, batch func([][]float64, []float64), scalar func([]float64) float64) func([][]float64, []float64) {
+			return func(xs [][]float64, out []float64) {
+				batch(xs, out)
+				for i, x := range xs {
+					if want := scalar(x); math.Float64bits(out[i]) != math.Float64bits(want) {
+						if mismatches == 0 {
+							first = fmt.Sprintf("objective %d row %d: batched %v, scalar %v", kind, i, out[i], want)
+						}
+						mismatches++
+					}
+				}
+				rows[kind] += len(xs)
+			}
+		}
+		// Workers: 1 keeps the maximizer's ascents, and so these
+		// unsynchronized counters, on the test goroutine.
+		e.eiBatchFn = check(0, e.eiBatch, e.eiObjective)
+		e.meanBatchFn = check(1, e.meanBatch, e.meanObjective)
+		opts := Options{Seed: seed, MaxIterations: 20, Workers: 1}
+		if _, err := r.Run(bowlEval(topo, mustTarget(topo, 3, seed+100)), opts); err != nil {
+			t.Fatalf("seed %d: Run: %v", seed, err)
+		}
+		if mismatches > 0 {
+			t.Fatalf("seed %d: %d of %d rows differ; first %s", seed, mismatches, rows[0]+rows[1], first)
+		}
+		if rows[0] == 0 || rows[1] == 0 {
+			t.Fatalf("seed %d: batched objectives unused (EI rows %d, mean rows %d)", seed, rows[0], rows[1])
+		}
 	}
 }
 

@@ -621,7 +621,7 @@ func (s *Scheduler) admit(n *node, req Request, res core.Result) Placement {
 func (s *Scheduler) Place(req Request) (p Placement, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if req.Load < 0 || req.Load > 1.5 {
+	if !(req.Load >= 0 && req.Load <= 1.5) {
 		return Placement{}, fmt.Errorf("cluster: load %v out of range", req.Load)
 	}
 	span := s.trace.Begin("place", -1)

@@ -3,6 +3,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"clite/internal/faults"
@@ -48,6 +50,23 @@ func TestPlaceValidation(t *testing.T) {
 	}
 	if _, err := s.Place(Request{Workload: "not-a-workload", Load: 0.2}); err == nil {
 		t.Error("unknown workload should be rejected")
+	}
+}
+
+// TestPlaceRejectsOutOfRangeLoads pins Place's [0, 1.5] load check
+// for values an ordered comparison alone lets through: a NaN load must
+// be refused up front as out of range, not run the whole pipeline and
+// come back ErrUnplaceable.
+func TestPlaceRejectsOutOfRangeLoads(t *testing.T) {
+	for _, load := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1, 1.6} {
+		s := New(Options{Nodes: 1, Seed: 2})
+		_, err := s.Place(Request{Workload: "memcached", Load: load})
+		if err == nil || errors.Is(err, ErrUnplaceable) || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("Place(load=%v) = %v, want out-of-range error", load, err)
+		}
+		if st := s.Stats(); st.Placements != 0 || st.Rejections != 0 || st.Screens != 0 {
+			t.Errorf("Place(load=%v) reached the pipeline: %+v", load, st)
+		}
 	}
 }
 

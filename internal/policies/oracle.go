@@ -46,12 +46,6 @@ type Oracle struct {
 	// Workers bounds the sweep's shard count: 0 means NumCPU, 1
 	// forces the sequential path.
 	Workers int
-	// Legacy drives the pre-table sweep retained for the benchmark
-	// baseline: every shard walks the full enumeration claiming its
-	// residue class, per-job measurements are memoized in string-keyed
-	// maps, and every configuration is re-scored through
-	// core.ScoreJobs. Results are identical either way.
-	Legacy bool
 }
 
 // Name implements Policy.
@@ -105,15 +99,6 @@ func (t *measTable) lookup(j int, a resource.Allocation) (measEntry, bool) {
 		idx = idx*t.dims[j][r] + int(rk)
 	}
 	return t.entries[j][idx], true
-}
-
-// measTable resolves the sweep's shared table: nil in legacy mode
-// (shards memoize lazily), the dense precomputed table otherwise.
-func (o Oracle) measTable(m *server.Machine, topo resource.Topology, nJobs, stride int) (*measTable, error) {
-	if o.Legacy {
-		return nil, nil
-	}
-	return buildMeasTable(m, topo, nJobs, stride)
 }
 
 // buildMeasTable precomputes every per-job measurement the strided
@@ -208,8 +193,7 @@ func buildMeasTable(m *server.Machine, topo resource.Topology, nJobs, stride int
 }
 
 // oracleSweep is one shard's worth of sweep state: the shared
-// measurement table, lazy fallback caches, reusable per-job scoring
-// columns, and the shard-local winner.
+// measurement table, lazy fallback caches, and the shard-local winner.
 type oracleSweep struct {
 	m    *server.Machine
 	jobs []server.Job
@@ -218,12 +202,7 @@ type oracleSweep struct {
 	caches []map[string]measEntry
 	keyBuf []byte
 
-	legacy   bool
 	nLC, nBG int
-	p95      []float64
-	qosMet   []bool
-	norm     []float64
-	scratch  core.ScoreScratch
 
 	examined int
 	err      error
@@ -238,17 +217,12 @@ type oracleSweep struct {
 	have    bool
 }
 
-func newOracleSweep(m *server.Machine, jobs []server.Job, table *measTable, legacy bool) *oracleSweep {
-	nJobs := len(jobs)
+func newOracleSweep(m *server.Machine, jobs []server.Job, table *measTable) *oracleSweep {
 	sw := &oracleSweep{
 		m:         m,
 		jobs:      jobs,
 		table:     table,
-		legacy:    legacy,
-		caches:    make([]map[string]measEntry, nJobs),
-		p95:       make([]float64, nJobs),
-		qosMet:    make([]bool, nJobs),
-		norm:      make([]float64, nJobs),
+		caches:    make([]map[string]measEntry, len(jobs)),
 		bestScore: math.Inf(-1),
 	}
 	for j := range sw.caches {
@@ -313,23 +287,12 @@ func (sw *oracleSweep) sums(cfg resource.Config) (lcRatioSum, lcPerfSum, bgPerfS
 }
 
 // score computes the exact Eq. 3 score of cfg without materializing an
-// Observation. The default path closes the memoized log-term sums
-// (bit-identical to ScoreJobs, see core.ScoreFromSums); the legacy
-// path lands per-job measurements in the reused columns and runs
-// ScoreJobs against the reused scratch.
+// Observation, closing the memoized log-term sums (bit-identical to
+// ScoreJobs, see core.ScoreFromSums).
 func (sw *oracleSweep) score(cfg resource.Config) float64 {
 	sw.examined++
-	if !sw.legacy {
-		lcR, lcP, bgP, allMet := sw.sums(cfg)
-		return core.ScoreFromSums(lcR, lcP, bgP, sw.nLC, sw.nBG, allMet)
-	}
-	for j := range sw.jobs {
-		meas := sw.measure(j, cfg.Jobs[j]).meas
-		sw.p95[j] = meas.P95
-		sw.qosMet[j] = meas.QoSMet
-		sw.norm[j] = meas.NormPerf
-	}
-	return core.ScoreJobs(sw.jobs, sw.p95, sw.qosMet, sw.norm, &sw.scratch)
+	lcR, lcP, bgP, allMet := sw.sums(cfg)
+	return core.ScoreFromSums(lcR, lcP, bgP, sw.nLC, sw.nBG, allMet)
 }
 
 // consider scores one sweep candidate in the log domain and promotes
@@ -419,71 +382,10 @@ func (sw *oracleSweep) absorb(other *oracleSweep) {
 // Run implements Policy.
 func (o Oracle) Run(m *server.Machine) (Result, error) {
 	topo := m.Topology()
-	jobs := m.Jobs()
-	nJobs := len(jobs)
-	stride := o.chooseStride(topo, nJobs)
-	workers := par.Count(o.Workers)
-
-	// Precompute the dense measurement table the sweep reads (shared,
-	// immutable, settled in one declaration: the par workers below
-	// capture it). Legacy mode and oversized spaces get a nil table and
-	// memoize lazily per shard instead.
-	table, err := o.measTable(m, topo, nJobs, stride)
+	nJobs := len(m.Jobs())
+	best, bestScore, merged, err := o.sweepGrid(m, o.chooseStride(topo, nJobs))
 	if err != nil {
 		return Result{}, err
-	}
-
-	// Grid sweep: shard by enumeration index. Shards never coordinate
-	// (no scheduling sensitivity); the default path block-shards the
-	// enumeration itself so each worker walks only its share, while the
-	// legacy path re-walks the full grid per shard claiming its residue
-	// class.
-	shards := make([]*oracleSweep, workers)
-	par.Go(workers, func(s int) {
-		sw := newOracleSweep(m, jobs, table, o.Legacy)
-		shards[s] = sw
-		if o.Legacy {
-			idx := 0
-			resource.ForEachConfig(topo, nJobs, stride, func(cfg resource.Config) bool {
-				if idx%workers == s {
-					if sc := sw.score(cfg); sc > sw.bestScore {
-						sw.bestScore = sc
-						sw.best = cfg.Clone()
-						sw.bestIdx = idx
-					}
-				}
-				idx++
-				return true
-			})
-			return
-		}
-		resource.ForEachConfigShard(topo, nJobs, stride, s, workers, func(idx int, cfg resource.Config) bool {
-			sw.consider(idx, cfg)
-			return true
-		})
-	})
-
-	// Merge, in shard order: the winner is the highest score, ties
-	// resolved to the lowest enumeration index — exactly the "first
-	// maximum in enumeration order" a sequential sweep picks.
-	merged := shards[0]
-	var best resource.Config
-	bestScore, bestIdx := math.Inf(-1), math.MaxInt
-	var firstErr error
-	for _, sw := range shards {
-		if sw.err != nil && firstErr == nil {
-			firstErr = sw.err
-		}
-		if sw.bestScore > bestScore || (sw.bestScore == bestScore && sw.bestIdx < bestIdx) {
-			bestScore, bestIdx, best = sw.bestScore, sw.bestIdx, sw.best
-		}
-		if sw == merged {
-			continue
-		}
-		merged.absorb(sw)
-	}
-	if firstErr != nil {
-		return Result{}, firstErr
 	}
 
 	// Refine: steepest-ascent unit transfers from the grid winner and
@@ -509,6 +411,57 @@ func (o Oracle) Run(m *server.Machine) (Result, error) {
 		SamplesUsed: merged.examined,
 		QoSMeetable: finalObs.AllQoSMet,
 	}, nil
+}
+
+// sweepGrid enumerates the strided grid and returns its first maximum
+// in enumeration order, its score, and the merged shard state (memo
+// caches and examined count) the refinement continues from.
+func (o Oracle) sweepGrid(m *server.Machine, stride int) (resource.Config, float64, *oracleSweep, error) {
+	topo := m.Topology()
+	jobs := m.Jobs()
+	nJobs := len(jobs)
+	workers := par.Count(o.Workers)
+
+	// Precompute the dense measurement table the sweep reads (shared,
+	// immutable, settled in one declaration: the par workers below
+	// capture it). Oversized spaces get a nil table and memoize lazily
+	// per shard instead.
+	table, err := buildMeasTable(m, topo, nJobs, stride)
+	if err != nil {
+		return resource.Config{}, 0, nil, err
+	}
+
+	// Shard by enumeration index: each worker walks only its own
+	// blocks of the enumeration, and shards never coordinate (no
+	// scheduling sensitivity).
+	shards := make([]*oracleSweep, workers)
+	par.Go(workers, func(s int) {
+		sw := newOracleSweep(m, jobs, table)
+		shards[s] = sw
+		resource.ForEachConfigShard(topo, nJobs, stride, s, workers, func(idx int, cfg resource.Config) bool {
+			sw.consider(idx, cfg)
+			return true
+		})
+	})
+
+	// Merge, in shard order: the winner is the highest score, ties
+	// resolved to the lowest enumeration index — exactly the "first
+	// maximum in enumeration order" a sequential sweep picks.
+	merged := shards[0]
+	var best resource.Config
+	bestScore, bestIdx := math.Inf(-1), math.MaxInt
+	for _, sw := range shards {
+		if sw.err != nil {
+			return resource.Config{}, 0, nil, sw.err
+		}
+		if sw.bestScore > bestScore || (sw.bestScore == bestScore && sw.bestIdx < bestIdx) {
+			bestScore, bestIdx, best = sw.bestScore, sw.bestIdx, sw.best
+		}
+		if sw != merged {
+			merged.absorb(sw)
+		}
+	}
+	return best, bestScore, merged, nil
 }
 
 // chooseStride returns the smallest stride whose grid fits the budget.

@@ -288,7 +288,7 @@ func (m *Machine) AddLC(name string, load float64) (int, error) {
 	if p.Class != workload.LatencyCritical {
 		return 0, fmt.Errorf("server: %s is not latency-critical; use AddBG", name)
 	}
-	if load <= 0 || load > 1.5 {
+	if !(load > 0 && load <= 1.5) {
 		return 0, fmt.Errorf("server: load %v out of range (0, 1.5]", load)
 	}
 	cal, ok := m.calibrations[name]
@@ -380,7 +380,7 @@ func (m *Machine) SetLoad(job int, load float64) error {
 	if !m.jobs[job].IsLC() {
 		return fmt.Errorf("server: job %d is background; it has no load knob", job)
 	}
-	if load <= 0 || load > 1.5 {
+	if !(load > 0 && load <= 1.5) {
 		return fmt.Errorf("server: load %v out of range (0, 1.5]", load)
 	}
 	m.jobs[job].Load = load

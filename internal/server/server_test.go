@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -399,5 +400,28 @@ func TestSharedCalibrationsAcrossMachines(t *testing.T) {
 	m4 := NewShared(resource.Default(), DefaultSpec(), 4, nil)
 	if _, err := m4.AddLC("img-dnn", 0.2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoadRangeRejectsNonFinite pins the (0, 1.5] load range at both
+// load knobs for values an ordered comparison alone lets through: NaN
+// compares false against every bound, so the check must be phrased as
+// "inside the range", not "outside one bound".
+func TestLoadRangeRejectsNonFinite(t *testing.T) {
+	for _, load := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1, 1.6} {
+		m := newTestMachine(t, 1)
+		if _, err := m.AddLC("memcached", load); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("AddLC(load=%v) = %v, want out-of-range error", load, err)
+		}
+		if len(m.Jobs()) != 0 {
+			t.Errorf("AddLC(load=%v) added a job despite the error", load)
+		}
+		placeMix(t, m)
+		if err := m.SetLoad(0, load); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("SetLoad(load=%v) = %v, want out-of-range error", load, err)
+		}
+		if got := m.Jobs()[0].Load; got != 0.3 {
+			t.Errorf("SetLoad(load=%v) changed the load to %v despite the error", load, got)
+		}
 	}
 }

@@ -79,8 +79,8 @@ trace:
 	go run ./cmd/clite -lc memcached:0.3 -lc img-dnn:0.2 -bg streamcluster -trace trace.jsonl -metrics
 
 # fuzzsmoke gives each native fuzz target a few seconds from its
-# seeded corpus: profile mix-key canonicalization (quantize/Store/
-# LookupNear round-trip), linalg Cholesky append-vs-refit
+# seeded corpus: profile mix-key canonicalization (packed keys and
+# LookupNear against the string-keyed reference, Store round-trip), linalg Cholesky append-vs-refit
 # byte-identity, blocked-vs-scalar Cholesky byte-identity, the lint
 # //lint:allow directive grammar, and the fact-cache codec round trip.
 fuzzsmoke:
@@ -101,9 +101,13 @@ chaossmoke:
 # fleetsmoke streams a small seeded fleet (128 nodes, 2 shards) and
 # fails on any QoS divergence: every LC placement must report QoSOK,
 # and the decision log and telemetry trace must be byte-identical
-# whether one shard or several did the placing.
+# whether one shard or several did the placing. It also checks the
+# typed admission path against the string-keyed reference: every
+# candidate's classification and counter movement, under all four
+# pre-filter × profile-cache settings.
 fleetsmoke:
 	go test -run 'TestFleetSmoke|TestFleetShardInvariance' ./internal/fleet
+	go test -run TestAssessMatchesStringKeyedReference ./internal/cluster
 
 # obssmoke gates the observability plane's contracts: a seeded
 # fleet's SLO ledger, status block, cell table and alert stream must

@@ -136,6 +136,7 @@ func TestFailNodeReschedulesAcrossSurvivors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustAudit(t, s)
 	if len(outcomes) != 1 {
 		t.Fatalf("drained %d jobs, want 1: %+v", len(outcomes), outcomes)
 	}
@@ -208,6 +209,7 @@ func TestRescheduleReportsUnplaceableJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustAudit(t, s)
 	if len(outcomes) != 1 {
 		t.Fatalf("outcomes = %+v", outcomes)
 	}
@@ -248,11 +250,13 @@ func TestRescheduleIsDeterministic(t *testing.T) {
 			if _, err := s.Place(r); err != nil {
 				t.Fatal(err)
 			}
+			mustAudit(t, s)
 		}
 		outcomes, err := s.FailNode(0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		mustAudit(t, s)
 		return fmt.Sprintf("%+v", outcomes), clusterState(s)
 	}
 	o1, s1 := run()
@@ -326,6 +330,7 @@ func exhaustionScenario(t *testing.T, workers int) (*Scheduler, []Outcome, Stats
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustAudit(t, s)
 	return s, outcomes, s.Stats()
 }
 

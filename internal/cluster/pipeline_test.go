@@ -37,6 +37,7 @@ func runStream(t *testing.T, opts Options, reqs []Request) ([]placed, Stats) {
 	out := make([]placed, 0, len(reqs))
 	for _, r := range reqs {
 		p, err := s.Place(r)
+		mustAudit(t, s)
 		rec := placed{node: -1}
 		if err != nil {
 			rec.err = err.Error()
@@ -219,11 +220,13 @@ func TestRehomeAfterFailureIsWorkerCountInvariant(t *testing.T) {
 			if _, err := s.Place(r); err != nil {
 				t.Fatal(err)
 			}
+			mustAudit(t, s)
 		}
 		out, err := s.FailNode(0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		mustAudit(t, s)
 		return out, s.Stats()
 	}
 	seq, seqStats := run(1)

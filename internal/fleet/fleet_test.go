@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -179,6 +180,39 @@ func TestFleetDeaths(t *testing.T) {
 	if sum.Rehomed != sum2.Rehomed || sum.Lost != sum2.Lost {
 		t.Fatalf("death outcomes did not replay: %d/%d rehomed, %d/%d lost",
 			sum.Rehomed, sum2.Rehomed, sum.Lost, sum2.Lost)
+	}
+
+	// Replay once more, auditing every cell's incremental node state
+	// against its request lists after each departure and at each epoch
+	// barrier, the sequential points where no cell is mid-placement.
+	tr := telemetry.NewTracer()
+	opts.Trace = tr
+	f, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audits := 0
+	var auditErr error
+	tr.SetTap(func(ev telemetry.Event) {
+		if auditErr != nil || (ev.Kind != telemetry.KindJobDeparture && ev.Kind != telemetry.KindFleetEpoch) {
+			return
+		}
+		audits++
+		for _, c := range f.cells {
+			if err := c.sched.Audit(); err != nil {
+				auditErr = fmt.Errorf("cell %d after %s event: %w", c.index, ev.Kind, err)
+				return
+			}
+		}
+	})
+	if _, err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if auditErr != nil {
+		t.Fatal(auditErr)
+	}
+	if audits == 0 {
+		t.Fatal("no audit ran")
 	}
 }
 

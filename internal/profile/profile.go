@@ -14,12 +14,12 @@
 //
 // Three mechanisms, in the order a placement consults them:
 //
-//   - Solo profiles: for each workload at a quantized load, the
+//   - Solo profiles: for each workload at a floor-quantized load, the
 //     minimal per-resource allocation that meets QoS when every other
-//     resource is at its full-machine value. Summed over a mix these
-//     give an optimistic feasibility bound — if some resource's
-//     minima already exceed its capacity, no partition can work and
-//     the candidate is rejected with zero BO iterations.
+//     resource is at its full-machine value. Summed over a mix (a
+//     Demand) these give an optimistic feasibility bound — if some
+//     resource's minima already exceed its capacity, no partition can
+//     work and the candidate is rejected with zero BO iterations.
 //   - Exact hits: a mix whose canonical key has been screened before
 //     reuses the memoized verdict and partition; the scheduler
 //     validates a feasible hit with a single observation window
@@ -28,19 +28,27 @@
 //     different loads warm-starts the BO engine with the cached run's
 //     best configurations instead of the engineered bootstrap.
 //
-// Loads are quantized to LoadQuantum buckets: mixes in the same
-// bucket are treated as the same co-location. That is the cache's
-// accuracy/throughput trade-off, and the single observation window
-// the scheduler spends validating a cached partition on its target
-// node is what keeps a stale or bucket-blurred entry from admitting a
-// violating placement unchecked.
+// Keys are typed, not formatted. Workload names are interned once per
+// process to small IDs; loads become integer LoadQuantum counts —
+// rounded for the cache key, floored for the solo bucket (0.43 and
+// 0.47 share a cache key but not a solo bucket). A mix packs into a
+// Mix: fixed-width (ID, quantum) pairs in sorted order, so equal
+// multisets pack to equal bytes and a lookup keyed by string(mix)
+// never allocates. Callers keep a node's Mix and Demand up to date as
+// jobs come and go, which turns a candidate's key into one sorted
+// insert and its pre-filter into one vector test.
+//
+// Loads in the same bucket are treated as the same co-location. That
+// is the cache's accuracy/throughput trade-off, and the single
+// observation window the scheduler spends validating a cached
+// partition on its target node is what keeps a stale or bucket-blurred
+// entry from admitting a violating placement unchecked.
 package profile
 
 import (
-	"fmt"
+	"encoding/binary"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 
 	"clite/internal/core"
@@ -55,74 +63,183 @@ import (
 // "memcached at 40%" granularity of describing offered load.
 const LoadQuantum = 0.05
 
-// Job is one job of a co-location mix, the cache's view of a
-// scheduler request: a Table 3 workload name plus the offered load
-// (0 for background jobs).
-type Job struct {
-	Workload string
-	Load     float64
-}
+// ID is a workload name interned to a small integer. The Table 3
+// registry is interned up front in name order, so for registered
+// workloads ID order is name order; any other name gets the next free
+// ID on first use. IDs are stable for the life of the process only.
+type ID uint16
 
-// IsLC reports whether the job is latency-critical (has a load).
-func (j Job) IsLC() bool { return j.Load > 0 }
+// maxID is the last ID the intern table hands out. Names beyond it all
+// share it: they can only come from unregistered workloads, which
+// never screen successfully, so they never reach a stored entry.
+const maxID = math.MaxUint16
 
-// Quantize rounds a load to the nearest LoadQuantum bucket.
-func Quantize(load float64) float64 {
-	return math.Round(load/LoadQuantum) * LoadQuantum
-}
+var (
+	// registered is the read-only intern table of the workload
+	// registry, built once per process.
+	registered = internRegistry()
 
-// Canonical returns the mix in canonical form: loads quantized, jobs
-// sorted by workload name then load. The input is not modified.
-func Canonical(jobs []Job) []Job {
-	out := make([]Job, len(jobs))
-	for i, j := range jobs {
-		out[i] = Job{Workload: j.Workload, Load: Quantize(j.Load)}
+	// extra interns names outside the registry.
+	extra struct {
+		mu  sync.Mutex
+		ids map[string]ID
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Workload != out[b].Workload {
-			return out[a].Workload < out[b].Workload
-		}
-		return out[a].Load < out[b].Load
-	})
-	return out
+)
+
+func internRegistry() map[string]ID {
+	var names []string
+	for _, p := range workload.All() {
+		names = append(names, p.Name)
+	}
+	sort.Strings(names)
+	ids := make(map[string]ID, len(names))
+	for i, n := range names {
+		ids[n] = ID(i)
+	}
+	return ids
 }
 
-// Key renders the canonical cache key of a mix, e.g.
-// "img-dnn@0.20|memcached@0.40|swaptions". Request order never
-// matters: the same multiset of jobs always produces the same key.
-func Key(jobs []Job) string {
-	var b strings.Builder
-	for i, j := range Canonical(jobs) {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		b.WriteString(j.Workload)
-		if j.IsLC() {
-			fmt.Fprintf(&b, "@%.2f", j.Load)
-		}
+// intern returns the workload name's ID.
+func intern(name string) ID {
+	if id, ok := registered[name]; ok {
+		return id
 	}
-	return b.String()
+	extra.mu.Lock()
+	defer extra.mu.Unlock()
+	if id, ok := extra.ids[name]; ok {
+		return id
+	}
+	next := len(registered) + len(extra.ids)
+	if next > maxID {
+		return maxID
+	}
+	if extra.ids == nil {
+		extra.ids = make(map[string]ID)
+	}
+	extra.ids[name] = ID(next)
+	return ID(next)
 }
 
-// signature is the loads-erased form of a key ("img-dnn|memcached|
-// swaptions"), the index near-miss lookups search under.
-func signature(jobs []Job) string {
-	var b strings.Builder
-	for i, j := range Canonical(jobs) {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		b.WriteString(j.Workload)
+// keyQuantum is a load's cache-key bucket: the nearest multiple of
+// LoadQuantum, in quanta. Loads that round to zero or below (and NaN)
+// key like a background job; loads beyond the uint16 range saturate,
+// far outside the [0, 1.5] every caller validates.
+func keyQuantum(load float64) uint16 {
+	q := math.Round(load / LoadQuantum)
+	if !(q > 0) {
+		return 0
 	}
-	return b.String()
+	if q > math.MaxUint16 {
+		return math.MaxUint16
+	}
+	return uint16(q)
+}
+
+// soloQuantum is a load's solo bucket, in quanta: floored, so the
+// bound stays optimistic (a job at 0.43 needs at least what it needs
+// at 0.40), but never below one quantum for a job with any load.
+func soloQuantum(load float64) int {
+	q := math.Floor(load/LoadQuantum + 1e-9)
+	if load > 0 && q < 1 {
+		q = 1
+	}
+	return int(q)
+}
+
+// JobKey is one job of a mix in packed form: the workload's ID in the
+// high 16 bits and its keyQuantum in the low 16, so JobKey order is
+// (workload, load) order.
+type JobKey uint32
+
+// Pack returns the JobKey of a job.
+func Pack(name string, load float64) JobKey {
+	return JobKey(intern(name))<<16 | JobKey(keyQuantum(load))
+}
+
+// Workload returns the job's interned workload.
+func (j JobKey) Workload() ID { return ID(j >> 16) }
+
+// Quantum returns the job's cache-key load bucket, in quanta.
+func (j JobKey) Quantum() int { return int(j & 0xFFFF) }
+
+// jobBytes is the width of one packed job in a Mix.
+const jobBytes = 4
+
+// Mix is a canonical job mix: its jobs' JobKeys, big-endian and sorted
+// ascending. The same multiset of jobs always packs to the same bytes,
+// whatever order the jobs arrived in, so a Mix is the cache key. The
+// zero value is the empty mix.
+type Mix []byte
+
+// Len returns the number of jobs in the mix.
+func (m Mix) Len() int { return len(m) / jobBytes }
+
+// At returns the mix's i-th job in canonical order.
+func (m Mix) At(i int) JobKey { return JobKey(binary.BigEndian.Uint32(m[i*jobBytes:])) }
+
+// search returns the byte offset j sorts into, after any equal jobs.
+func (m Mix) search(j JobKey) int {
+	for off := 0; off < len(m); off += jobBytes {
+		if JobKey(binary.BigEndian.Uint32(m[off:])) > j {
+			return off
+		}
+	}
+	return len(m)
+}
+
+// Insert adds j to the mix in place, keeping canonical order, and
+// returns the (possibly reallocated) mix.
+func (m Mix) Insert(j JobKey) Mix {
+	off := m.search(j)
+	m = append(m, 0, 0, 0, 0)
+	copy(m[off+jobBytes:], m[off:])
+	binary.BigEndian.PutUint32(m[off:], uint32(j))
+	return m
+}
+
+// Delete removes one occurrence of j from the mix in place and
+// reports whether there was one.
+func (m Mix) Delete(j JobKey) (Mix, bool) {
+	for off := 0; off < len(m); off += jobBytes {
+		if JobKey(binary.BigEndian.Uint32(m[off:])) == j {
+			return append(m[:off], m[off+jobBytes:]...), true
+		}
+	}
+	return m, false
+}
+
+// AppendInsert appends the mix with j inserted to dst: a candidate's
+// key assembled in a caller-owned buffer without touching m.
+func AppendInsert(dst []byte, m Mix, j JobKey) []byte {
+	off := m.search(j)
+	dst = append(dst, m[:off]...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(j))
+	return append(dst, m[off:]...)
+}
+
+// packed is a packed mix held either as a Mix or as an entry's Key.
+type packed interface{ ~string | ~[]byte }
+
+// appendSignature appends the mix's loads-erased form — its workload
+// IDs in canonical order, the index near-miss lookups search under —
+// to dst.
+func appendSignature[K packed](dst []byte, mix K) []byte {
+	for off := 0; off < len(mix); off += jobBytes {
+		dst = append(dst, mix[off], mix[off+1])
+	}
+	return dst
+}
+
+// quantumAt returns the keyQuantum of the job at byte offset off.
+func quantumAt[K packed](mix K, off int) int {
+	return int(mix[off+2])<<8 | int(mix[off+3])
 }
 
 // Entry is one memoized screening outcome.
 type Entry struct {
-	// Key is the canonical mix key the entry is stored under.
+	// Key is the packed canonical mix the entry is stored under,
+	// string(Mix).
 	Key string
-	// Jobs is the canonical mix.
-	Jobs []Job
 	// Feasible records the screening verdict: every LC job of the mix
 	// met its QoS target under the best partition found.
 	Feasible bool
@@ -211,12 +328,18 @@ type Cache struct {
 	analytics *Cache
 
 	mu      sync.Mutex
-	entries map[string]*Entry
+	entries map[string]*Entry   // by string(Mix)
 	bySig   map[string][]*Entry // insertion order per signature
 	journal []*Entry            // entries in Store order, for EntriesSince
-	solo    map[string]*Solo
+	solo    map[soloKey]*Solo
 	cal     map[string]qos.Calibration
 	stats   Stats
+}
+
+// soloKey indexes solo profiles by workload and solo bucket.
+type soloKey struct {
+	id ID
+	q  int
 }
 
 // NewCache returns an empty cache over the node topology.
@@ -225,7 +348,7 @@ func NewCache(topo resource.Topology) *Cache {
 		topo:    topo,
 		entries: make(map[string]*Entry),
 		bySig:   make(map[string][]*Entry),
-		solo:    make(map[string]*Solo),
+		solo:    make(map[soloKey]*Solo),
 		cal:     make(map[string]qos.Calibration),
 	}
 }
@@ -245,11 +368,11 @@ func NewOverlay(hub *Cache) *Cache {
 	return c
 }
 
-// Lookup returns the entry stored under the exact canonical key.
-func (c *Cache) Lookup(key string) (*Entry, bool) {
+// Lookup returns the entry stored under the exact mix.
+func (c *Cache) Lookup(mix Mix) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
+	e, ok := c.entries[string(mix)]
 	if ok {
 		c.stats.Hits++
 	} else {
@@ -264,34 +387,39 @@ func (c *Cache) Lookup(key string) (*Entry, bool) {
 const NearTolerance = 2 * LoadQuantum
 
 // LookupNear finds a warm-start donor for the mix: an entry with the
-// same workload multiset whose per-job (sorted, quantized) loads are
-// all within tol, excluding the exact key itself. Among candidates the
-// smallest total load distance wins, ties to the earliest-stored entry
-// — a pure function of cache state, so lookups stay deterministic.
-// Only feasible entries donate: seeding a search with the samples of a
-// run that never found the feasible region would anchor it on failure.
-func (c *Cache) LookupNear(jobs []Job, tol float64) (*Entry, bool) {
-	canon := Canonical(jobs)
-	key := Key(canon)
-	sig := signature(canon)
+// same workload multiset whose per-job (canonically paired, quantized)
+// loads are all within tol, excluding the exact mix itself. Among
+// candidates the smallest total load distance wins, ties to the
+// earliest-stored entry — a pure function of cache state, so lookups
+// stay deterministic. Only feasible entries donate: seeding a search
+// with the samples of a run that never found the feasible region would
+// anchor it on failure.
+func (c *Cache) LookupNear(mix Mix, tol float64) (*Entry, bool) {
+	var buf [64]byte
+	sig := appendSignature(buf[:0], mix)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var best *Entry
-	bestDist := math.Inf(1)
-	for _, e := range c.bySig[sig] {
-		if e.Key == key || !e.Feasible || len(e.Jobs) != len(canon) {
+	bestDist := 0
+	for _, e := range c.bySig[string(sig)] {
+		if !e.Feasible || e.Key == string(mix) {
 			continue
 		}
-		total, ok := 0.0, true
-		for i := range canon {
-			d := math.Abs(e.Jobs[i].Load - canon[i].Load)
-			if d > tol+1e-9 {
+		// A shared signature means equal length and the same workload
+		// at every position, so only the quanta differ.
+		total, ok := 0, true
+		for off := 0; off < len(mix); off += jobBytes {
+			d := quantumAt(e.Key, off) - quantumAt(mix, off)
+			if d < 0 {
+				d = -d
+			}
+			if float64(d)*LoadQuantum > tol+1e-9 {
 				ok = false
 				break
 			}
 			total += d
 		}
-		if ok && total < bestDist-1e-12 {
+		if ok && (best == nil || total < bestDist) {
 			best, bestDist = e, total
 		}
 	}
@@ -302,23 +430,20 @@ func (c *Cache) LookupNear(jobs []Job, tol float64) (*Entry, bool) {
 	return nil, false
 }
 
-// Store commits an entry under its key, first write wins: schedulers
+// Store commits an entry under its Key, first write wins: schedulers
 // screening several equivalent candidates keep the outcome of the
 // first (in deterministic candidate order), which makes the cache's
 // evolution independent of screening concurrency. It reports whether
-// the entry was stored.
+// the entry was stored. Store never modifies the entry, so one entry
+// may be stored into many caches (the fleet's barrier adoption).
 func (c *Cache) Store(e *Entry) bool {
-	e.Jobs = Canonical(e.Jobs)
-	if e.Key == "" {
-		e.Key = Key(e.Jobs)
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, exists := c.entries[e.Key]; exists {
 		return false
 	}
 	c.entries[e.Key] = e
-	sig := signature(e.Jobs)
+	sig := string(appendSignature(nil, e.Key))
 	c.bySig[sig] = append(c.bySig[sig], e)
 	c.journal = append(c.journal, e)
 	c.stats.Stores++
@@ -390,11 +515,8 @@ func (c *Cache) Solo(name string, load float64) (*Solo, error) {
 	if c.analytics != nil {
 		return c.analytics.Solo(name, load)
 	}
-	q := math.Floor(load/LoadQuantum+1e-9) * LoadQuantum
-	if load > 0 && q < LoadQuantum {
-		q = LoadQuantum
-	}
-	key := fmt.Sprintf("%s@%.2f", name, q)
+	q := soloQuantum(load)
+	key := soloKey{intern(name), q}
 	c.mu.Lock()
 	if s, ok := c.solo[key]; ok {
 		c.mu.Unlock()
@@ -405,7 +527,7 @@ func (c *Cache) Solo(name string, load float64) (*Solo, error) {
 	// Compute outside the lock: profiles are pure functions of
 	// (name, load bucket), so a racing duplicate computation returns
 	// the same value and first-write-wins below keeps one.
-	s, err := c.computeSolo(name, q)
+	s, err := c.computeSolo(name, float64(q)*LoadQuantum)
 	if err != nil {
 		return nil, err
 	}
@@ -496,31 +618,68 @@ func (c *Cache) calibration(p *workload.Profile) (qos.Calibration, error) {
 	return cal, nil
 }
 
-// Admissible applies the analytical admission pre-filter to a mix: it
-// sums the per-job solo minima and rejects the mix if any job is
-// solo-infeasible or any resource's minima exceed its capacity. A true
+// Demand is the admission pre-filter's running state for one mix:
+// the per-resource sum of its jobs' solo minima and how many of its
+// jobs are solo-infeasible. A scheduler keeps one per node, updated as
+// jobs arrive and leave, so testing a candidate is one O(resources)
+// vector check instead of a walk over the node's jobs. The zero value
+// is the empty mix.
+type Demand struct {
+	need       []int
+	infeasible int
+}
+
+// Add accounts for a job with solo profile s joining the mix.
+func (d *Demand) Add(s *Solo) { d.apply(s, 1) }
+
+// Sub accounts for a job with solo profile s leaving the mix.
+func (d *Demand) Sub(s *Solo) { d.apply(s, -1) }
+
+func (d *Demand) apply(s *Solo, sign int) {
+	if !s.Feasible {
+		d.infeasible += sign
+		return
+	}
+	if d.need == nil {
+		d.need = make([]int, len(s.MinUnits))
+	}
+	for r, u := range s.MinUnits {
+		d.need[r] += sign * u
+	}
+}
+
+// Reset empties the mix, keeping the vector's storage.
+func (d *Demand) Reset() {
+	clear(d.need)
+	d.infeasible = 0
+}
+
+// Feasible reports whether every job of the mix is solo-feasible.
+func (d *Demand) Feasible() bool { return d.infeasible == 0 }
+
+// Need returns the summed minimum of resource r.
+func (d *Demand) Need(r int) int {
+	if d.need == nil {
+		return 0
+	}
+	return d.need[r]
+}
+
+// Admits applies the analytical admission pre-filter to the mix plus
+// one job with solo profile s: it rejects if any job is solo-infeasible
+// or any resource's summed minima exceed its capacity in topo. A true
 // verdict proves nothing (the bound is optimistic — interference-free
 // minima can coexist on paper but not in any real partition); a false
 // verdict is decisive under the noise-free model, which is exactly the
 // cheap "schedule it elsewhere" detection the paper calls for.
-func (c *Cache) Admissible(jobs []Job) (bool, error) {
-	need := make([]int, len(c.topo))
-	for _, j := range jobs {
-		s, err := c.Solo(j.Workload, j.Load)
-		if err != nil {
-			return false, err
-		}
-		if !s.Feasible {
-			return false, nil
-		}
-		for r := range need {
-			need[r] += s.MinUnits[r]
+func (d *Demand) Admits(topo resource.Topology, s *Solo) bool {
+	if !d.Feasible() || !s.Feasible {
+		return false
+	}
+	for r, spec := range topo {
+		if d.Need(r)+s.MinUnits[r] > spec.Units {
+			return false
 		}
 	}
-	for r, spec := range c.topo {
-		if need[r] > spec.Units {
-			return false, nil
-		}
-	}
-	return true, nil
+	return true
 }

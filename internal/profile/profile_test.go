@@ -11,33 +11,88 @@ import (
 )
 
 func TestKeyIsOrderInsensitive(t *testing.T) {
-	a := Key([]Job{{"memcached", 0.4}, {"img-dnn", 0.2}, {"swaptions", 0}})
-	b := Key([]Job{{"swaptions", 0}, {"img-dnn", 0.2}, {"memcached", 0.4}})
+	jobs := []Job{{"memcached", 0.4}, {"img-dnn", 0.2}, {"swaptions", 0}}
+	a := keyOf(jobs)
+	b := keyOf([]Job{{"swaptions", 0}, {"img-dnn", 0.2}, {"memcached", 0.4}})
 	if a != b {
-		t.Errorf("keys diverge on request order: %q vs %q", a, b)
+		t.Errorf("keys diverge on request order: %x vs %x", a, b)
 	}
-	if a != "img-dnn@0.20|memcached@0.40|swaptions" {
-		t.Errorf("unexpected canonical key %q", a)
+	if got := refKey(decode(a)); got != "img-dnn@0.20|memcached@0.40|swaptions" {
+		t.Errorf("unexpected canonical key %q", got)
+	}
+	if got := refKey(jobs); got != "img-dnn@0.20|memcached@0.40|swaptions" {
+		t.Errorf("reference key %q", got)
 	}
 }
 
 func TestKeyQuantizesLoads(t *testing.T) {
-	a := Key([]Job{{"memcached", 0.41}})
-	b := Key([]Job{{"memcached", 0.39}})
-	c := Key([]Job{{"memcached", 0.33}})
+	a := keyOf([]Job{{"memcached", 0.41}})
+	b := keyOf([]Job{{"memcached", 0.39}})
+	c := keyOf([]Job{{"memcached", 0.33}})
 	if a != b {
-		t.Errorf("0.41 and 0.39 should share the 0.40 bucket: %q vs %q", a, b)
+		t.Errorf("0.41 and 0.39 should share the 0.40 bucket: %x vs %x", a, b)
 	}
 	if a == c {
-		t.Errorf("0.41 and 0.33 should land in different buckets: both %q", a)
+		t.Errorf("0.41 and 0.33 should land in different buckets: both %x", a)
+	}
+}
+
+// TestKeyRoundsSoloBucketFloors pins the two quantizations apart: the
+// cache key rounds a load to the nearest bucket, the solo bucket floors
+// it. 0.43 and 0.47 both round to 0.45 — one cache key — but floor to
+// 0.40 and 0.45, two solo profiles. Keying the pre-filter on the cache
+// key would lift 0.43's bound to 0.45's and break its optimism.
+func TestKeyRoundsSoloBucketFloors(t *testing.T) {
+	if Pack("memcached", 0.43) != Pack("memcached", 0.47) {
+		t.Error("0.43 and 0.47 should share the 0.45 cache-key bucket")
+	}
+	if refKey([]Job{{"memcached", 0.43}}) != refKey([]Job{{"memcached", 0.47}}) {
+		t.Error("reference keys disagree on the shared bucket")
+	}
+	c := NewCache(resource.Default())
+	lo, err := c.Solo("memcached", 0.43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hi, err := c.Solo("memcached", 0.47)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo == hi || math.Abs(lo.Load-0.40) > 1e-9 || math.Abs(hi.Load-0.45) > 1e-9 {
+		t.Errorf("solo buckets = %.2f and %.2f, want 0.40 and 0.45 as separate profiles", lo.Load, hi.Load)
 	}
 }
 
 func TestKeyDistinguishesDuplicateLoads(t *testing.T) {
-	one := Key([]Job{{"memcached", 0.2}})
-	two := Key([]Job{{"memcached", 0.2}, {"memcached", 0.2}})
+	one := keyOf([]Job{{"memcached", 0.2}})
+	two := keyOf([]Job{{"memcached", 0.2}, {"memcached", 0.2}})
 	if one == two {
 		t.Error("one and two copies of the same job must not collide")
+	}
+}
+
+func TestMixInsertDeleteRoundTrip(t *testing.T) {
+	jobs := []Job{{"xapian", 0.2}, {"memcached", 0.4}, {"swaptions", 0}, {"memcached", 0.2}, {"memcached", 0.4}}
+	var m Mix
+	for _, j := range jobs {
+		m = m.Insert(Pack(j.Workload, j.Load))
+	}
+	if want := keyOf(jobs); string(m) != want {
+		t.Fatalf("incremental mix %x, want %x", m, want)
+	}
+	var ok bool
+	if m, ok = m.Delete(Pack("memcached", 0.4)); !ok {
+		t.Fatal("delete of a present job failed")
+	}
+	if want := keyOf([]Job{{"xapian", 0.2}, {"memcached", 0.4}, {"swaptions", 0}, {"memcached", 0.2}}); string(m) != want {
+		t.Errorf("after delete %x, want %x", m, want)
+	}
+	if _, ok = m.Delete(Pack("img-dnn", 0.2)); ok {
+		t.Error("delete of an absent job succeeded")
+	}
+	buf := AppendInsert([]byte("prefix"), m, Pack("img-dnn", 0.2))
+	if want := keyOf([]Job{{"img-dnn", 0.2}, {"xapian", 0.2}, {"memcached", 0.4}, {"swaptions", 0}, {"memcached", 0.2}}); string(buf[len("prefix"):]) != want {
+		t.Errorf("AppendInsert %x, want %x", buf[len("prefix"):], want)
 	}
 }
 
@@ -54,15 +109,15 @@ func resultWithBest(topo resource.Topology, nJobs int, score float64) core.Resul
 func TestStoreFirstWriteWins(t *testing.T) {
 	c := NewCache(resource.Small())
 	jobs := []Job{{"memcached", 0.2}}
-	e1 := &Entry{Jobs: jobs, Feasible: true, Result: resultWithBest(resource.Small(), 1, 0.9)}
-	e2 := &Entry{Jobs: jobs, Feasible: false}
+	e1 := &Entry{Key: keyOf(jobs), Feasible: true, Result: resultWithBest(resource.Small(), 1, 0.9)}
+	e2 := &Entry{Key: keyOf(jobs), Feasible: false}
 	if !c.Store(e1) {
 		t.Fatal("first store must succeed")
 	}
 	if c.Store(e2) {
 		t.Error("second store of the same key must be a no-op")
 	}
-	got, ok := c.Lookup(Key(jobs))
+	got, ok := c.Lookup(mixOf(jobs))
 	if !ok || !got.Feasible {
 		t.Fatalf("lookup returned %+v, want the first entry", got)
 	}
@@ -80,7 +135,7 @@ func TestLookupNearFindsClosestFeasibleDonor(t *testing.T) {
 	c := NewCache(topo)
 	mk := func(load float64, feasible bool) *Entry {
 		return &Entry{
-			Jobs:     []Job{{"memcached", load}, {"swaptions", 0}},
+			Key:      keyOf([]Job{{"memcached", load}, {"swaptions", 0}}),
 			Feasible: feasible,
 			Result:   resultWithBest(topo, 2, 0.9),
 		}
@@ -89,29 +144,29 @@ func TestLookupNearFindsClosestFeasibleDonor(t *testing.T) {
 	c.Store(mk(0.30, true))
 	c.Store(mk(0.25, false)) // closest, but infeasible: must not donate
 
-	probe := []Job{{"memcached", 0.25}, {"swaptions", 0}}
+	probe := mixOf([]Job{{"memcached", 0.25}, {"swaptions", 0}})
 	e, ok := c.LookupNear(probe, NearTolerance)
 	if !ok {
 		t.Fatal("expected a near hit")
 	}
 	near := func(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
-	if !near(e.Jobs[0].Load, 0.30) {
-		t.Errorf("donor load = %.2f, want the closest feasible 0.30", e.Jobs[0].Load)
+	if load := decode(e.Key)[0].Load; !near(load, 0.30) {
+		t.Errorf("donor load = %.2f, want the closest feasible 0.30", load)
 	}
 
 	// Exact-key entries never count as near donors.
 	c.Store(mk(0.25, true))
 	e, ok = c.LookupNear(probe, NearTolerance)
-	if !ok || !near(e.Jobs[0].Load, 0.30) {
+	if !ok || !near(decode(e.Key)[0].Load, 0.30) {
 		t.Errorf("exact key leaked into the near lookup: %+v", e)
 	}
 
 	// Different workload multisets never match.
-	if _, ok := c.LookupNear([]Job{{"img-dnn", 0.30}, {"swaptions", 0}}, NearTolerance); ok {
+	if _, ok := c.LookupNear(mixOf([]Job{{"img-dnn", 0.30}, {"swaptions", 0}}), NearTolerance); ok {
 		t.Error("near lookup crossed workload multisets")
 	}
 	// Beyond tolerance is a miss.
-	if _, ok := c.LookupNear([]Job{{"memcached", 0.60}, {"swaptions", 0}}, NearTolerance); ok {
+	if _, ok := c.LookupNear(mixOf([]Job{{"memcached", 0.60}, {"swaptions", 0}}), NearTolerance); ok {
 		t.Error("near lookup exceeded tolerance")
 	}
 }
@@ -140,7 +195,7 @@ func TestSeedsFromResultRanksAndDedups(t *testing.T) {
 	if !seeds[1].Equal(alt2) || !seeds[2].Equal(alt) {
 		t.Errorf("runners-up out of score order: %v", seeds[1:])
 	}
-	e := &Entry{Jobs: []Job{{"a", 0.1}, {"b", 0.1}}, Seeds: seeds}
+	e := &Entry{Seeds: seeds}
 	if got := e.SeedsFor(2); len(got) != 3 {
 		t.Errorf("SeedsFor(2) = %d seeds, want 3", len(got))
 	}
@@ -200,24 +255,39 @@ func TestSoloProfileShapes(t *testing.T) {
 }
 
 func TestAdmissiblePrefilter(t *testing.T) {
-	c := NewCache(resource.Default())
-
-	ok, err := c.Admissible([]Job{{"memcached", 0.2}, {"swaptions", 0}})
-	if err != nil || !ok {
-		t.Fatalf("light mix rejected: ok=%v err=%v", ok, err)
+	topo := resource.Default()
+	c := NewCache(topo)
+	// admissible runs the pre-filter on the last job joining a Demand
+	// built from the others, the way a scheduler tests a candidate.
+	admissible := func(jobs []Job) bool {
+		t.Helper()
+		var d Demand
+		solos := make([]*Solo, len(jobs))
+		for i, j := range jobs {
+			s, err := c.Solo(j.Workload, j.Load)
+			if err != nil {
+				t.Fatal(err)
+			}
+			solos[i] = s
+		}
+		for _, s := range solos[:len(solos)-1] {
+			d.Add(s)
+		}
+		return d.Admits(topo, solos[len(solos)-1])
 	}
-	// A solo-infeasible job poisons any mix.
-	ok, err = c.Admissible([]Job{{"memcached", 1.4}})
-	if err != nil || ok {
-		t.Fatalf("hopeless job admitted: ok=%v err=%v", ok, err)
+
+	if !admissible([]Job{{"memcached", 0.2}, {"swaptions", 0}}) {
+		t.Fatal("light mix rejected")
+	}
+	// A solo-infeasible job poisons any mix, as arrival or resident.
+	if admissible([]Job{{"memcached", 1.4}}) {
+		t.Fatal("hopeless job admitted")
+	}
+	if admissible([]Job{{"memcached", 1.4}, {"swaptions", 0}}) {
+		t.Fatal("mix with a hopeless resident admitted")
 	}
 	// Four near-saturation memcacheds cannot sum under capacity.
-	four := []Job{{"memcached", 0.9}, {"memcached", 0.9}, {"memcached", 0.9}, {"memcached", 0.9}}
-	ok, err = c.Admissible(four)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
+	if admissible([]Job{{"memcached", 0.9}, {"memcached", 0.9}, {"memcached", 0.9}, {"memcached", 0.9}}) {
 		t.Error("four 90% memcacheds passed the capacity bound")
 	}
 	// More jobs than units of some resource is structurally infeasible.
@@ -225,9 +295,31 @@ func TestAdmissiblePrefilter(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		dozen = append(dozen, Job{Workload: "swaptions"})
 	}
-	ok, err = c.Admissible(dozen)
-	if err != nil || ok {
-		t.Errorf("12 jobs on an 11-way LLC admitted: ok=%v err=%v", ok, err)
+	if admissible(dozen) {
+		t.Error("12 jobs on an 11-way LLC admitted")
+	}
+
+	// Sub undoes Add, so a departure restores the bound exactly.
+	heavy, err := c.Solo("memcached", 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hopeless, err := c.Solo("memcached", 1.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d Demand
+	d.Add(heavy)
+	d.Add(hopeless)
+	d.Sub(hopeless)
+	d.Sub(heavy)
+	if !d.Feasible() {
+		t.Error("Demand stays infeasible after its hopeless job left")
+	}
+	for r := range topo {
+		if d.Need(r) != 0 {
+			t.Errorf("resource %d: empty Demand needs %d units", r, d.Need(r))
+		}
 	}
 }
 
@@ -241,9 +333,9 @@ func TestCacheConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				jobs := []Job{{Workload: fmt.Sprintf("w%d", i%5), Load: 0.2}}
-				c.Store(&Entry{Jobs: jobs, Feasible: true, Result: resultWithBest(topo, 1, 0.8)})
-				c.Lookup(Key(jobs))
-				c.LookupNear(jobs, NearTolerance)
+				c.Store(&Entry{Key: keyOf(jobs), Feasible: true, Result: resultWithBest(topo, 1, 0.8)})
+				c.Lookup(mixOf(jobs))
+				c.LookupNear(mixOf(jobs), NearTolerance)
 			}
 		}(g)
 	}
@@ -274,20 +366,20 @@ func TestCacheShardedFirstWriteWins(t *testing.T) {
 			seen[s] = map[string]float64{}
 			for i := 0; i < 40; i++ {
 				jobs := []Job{{Workload: fmt.Sprintf("mix%d", i%mixes), Load: 0.2}}
-				e := &Entry{Jobs: jobs, Feasible: true,
+				e := &Entry{Key: keyOf(jobs), Feasible: true,
 					Result: resultWithBest(topo, 1, 0.6+float64(s)/100)}
 				if hub.Store(e) {
 					wins[s][e.Key] = true
 				}
-				if got, ok := hub.Lookup(Key(jobs)); ok {
+				if got, ok := hub.Lookup(mixOf(jobs)); ok {
 					if prev, dup := seen[s][got.Key]; dup && prev != got.Result.BestScore {
-						t.Errorf("shard %d saw key %s flip score %v -> %v", s, got.Key, prev, got.Result.BestScore)
+						t.Errorf("shard %d saw key %x flip score %v -> %v", s, got.Key, prev, got.Result.BestScore)
 					}
 					seen[s][got.Key] = got.Result.BestScore
 				}
-				if got, ok := hub.LookupNear(jobs, NearTolerance); ok {
+				if got, ok := hub.LookupNear(mixOf(jobs), NearTolerance); ok {
 					if prev, dup := seen[s][got.Key]; dup && prev != got.Result.BestScore {
-						t.Errorf("shard %d saw key %s flip score %v -> %v", s, got.Key, prev, got.Result.BestScore)
+						t.Errorf("shard %d saw key %x flip score %v -> %v", s, got.Key, prev, got.Result.BestScore)
 					}
 					seen[s][got.Key] = got.Result.BestScore
 				}
@@ -304,7 +396,7 @@ func TestCacheShardedFirstWriteWins(t *testing.T) {
 	for s, w := range wins {
 		for key := range w {
 			if _, taken := winners[key]; taken {
-				t.Errorf("key %s reported two winning stores", key)
+				t.Errorf("key %x reported two winning stores", key)
 			}
 			winners[key] = 0.6 + float64(s)/100
 		}
@@ -313,9 +405,9 @@ func TestCacheShardedFirstWriteWins(t *testing.T) {
 		t.Fatalf("winning stores cover %d keys, want %d", len(winners), mixes)
 	}
 	for key, score := range winners {
-		got, ok := hub.Lookup(key)
+		got, ok := hub.Lookup(Mix(key))
 		if !ok || got.Result.BestScore != score {
-			t.Errorf("key %s: committed score %v, want winning shard's %v", key, got.Result.BestScore, score)
+			t.Errorf("key %x: committed score %v, want winning shard's %v", key, got.Result.BestScore, score)
 		}
 	}
 	// Every lookup hit observed the final winner — first write wins
@@ -323,7 +415,7 @@ func TestCacheShardedFirstWriteWins(t *testing.T) {
 	for s, m := range seen {
 		for key, score := range m {
 			if score != winners[key] {
-				t.Errorf("shard %d observed %v for %s, final winner is %v", s, score, key, winners[key])
+				t.Errorf("shard %d observed %v for %x, final winner is %v", s, score, key, winners[key])
 			}
 		}
 	}
@@ -338,7 +430,7 @@ func TestCacheShardedFirstWriteWins(t *testing.T) {
 	}
 	for key := range winners {
 		if counts[key] != 1 {
-			t.Errorf("journal lists %s %d times, want once", key, counts[key])
+			t.Errorf("journal lists %x %d times, want once", key, counts[key])
 		}
 	}
 }
@@ -370,11 +462,11 @@ func TestOverlaySyncAcrossShards(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			score := 0.6 + float64(s)/100
-			overlays[s].Store(&Entry{Jobs: ownJobs(s), Feasible: true,
+			overlays[s].Store(&Entry{Key: keyOf(ownJobs(s)), Feasible: true,
 				Result: resultWithBest(topo, 1, score)})
-			overlays[s].Store(&Entry{Jobs: contended, Feasible: true,
+			overlays[s].Store(&Entry{Key: keyOf(contended), Feasible: true,
 				Result: resultWithBest(topo, 1, score)})
-			overlays[s].LookupNear(contended, NearTolerance)
+			overlays[s].LookupNear(mixOf(contended), NearTolerance)
 		}(s)
 	}
 	wg.Wait()
@@ -406,18 +498,18 @@ func TestOverlaySyncAcrossShards(t *testing.T) {
 	// order); each overlay keeps the version it profiled itself —
 	// first write wins locally too — and everyone adopted every
 	// foreign mix verbatim.
-	if got, ok := hub.Lookup(Key(contended)); !ok || got.Result.BestScore != 0.6 {
+	if got, ok := hub.Lookup(mixOf(contended)); !ok || got.Result.BestScore != 0.6 {
 		t.Fatalf("hub contended entry = %+v, want shard 0's", got)
 	}
 	for s := range overlays {
 		if overlays[s].Len() != wantLen {
 			t.Errorf("overlay %d has %d entries, want %d", s, overlays[s].Len(), wantLen)
 		}
-		if got, ok := overlays[s].Lookup(Key(contended)); !ok || got.Result.BestScore != 0.6+float64(s)/100 {
+		if got, ok := overlays[s].Lookup(mixOf(contended)); !ok || got.Result.BestScore != 0.6+float64(s)/100 {
 			t.Errorf("overlay %d contended entry = %+v, want its own", s, got)
 		}
 		for o := 0; o < shards; o++ {
-			got, ok := overlays[s].Lookup(Key(ownJobs(o)))
+			got, ok := overlays[s].Lookup(mixOf(ownJobs(o)))
 			if !ok || got.Result.BestScore != 0.6+float64(o)/100 {
 				t.Errorf("overlay %d missing shard %d's mix: %+v", s, o, got)
 			}

@@ -6,7 +6,7 @@
 # optimization paths by the byte-identity tests), keep the benchmark
 # harness runnable (benchsmoke), and keep the telemetry layer cheap
 # (teleoverhead: CLITERun with tracing on within 5% of off).
-.PHONY: tier1 build vet lint lint-diff test race bench benchsmoke benchcompare benchfigs perftable teleoverhead trace fuzzsmoke chaossmoke fleetsmoke obssmoke
+.PHONY: tier1 build vet lint lint-diff test race bench benchsmoke benchcompare benchfigs perftable teleoverhead trace fuzzsmoke chaossmoke fleetsmoke obssmoke expdiff
 
 tier1: build vet lint race benchsmoke teleoverhead fleetsmoke obssmoke
 
@@ -82,13 +82,15 @@ trace:
 # seeded corpus: profile mix-key canonicalization (packed keys and
 # LookupNear against the string-keyed reference, Store round-trip), linalg Cholesky append-vs-refit
 # byte-identity, blocked-vs-scalar Cholesky byte-identity, the lint
-# //lint:allow directive grammar, and the fact-cache codec round trip.
+# //lint:allow directive grammar, the fact-cache codec round trip, and
+# the tsq trace reader on truncated and malformed JSONL.
 fuzzsmoke:
 	go test -run '^$$' -fuzz FuzzMixKeyRoundTrip -fuzztime 5s ./internal/profile
 	go test -run '^$$' -fuzz FuzzCholAppendVsRefit -fuzztime 5s ./internal/linalg
 	go test -run '^$$' -fuzz FuzzBlockedCholVsScalar -fuzztime 5s ./internal/linalg
 	go test -run '^$$' -fuzz FuzzDirectiveParse -fuzztime 5s ./internal/analysis
 	go test -run '^$$' -fuzz FuzzFactCacheRoundTrip -fuzztime 5s ./internal/analysis
+	go test -run '^$$' -fuzz FuzzLoad -fuzztime 5s ./internal/obs
 
 # chaossmoke runs the failover experiment's coarse sweep (scheduled
 # leader death, a 25% per-command death rate, quorum loss) and fails
@@ -121,6 +123,16 @@ obssmoke:
 	go test -run TestObsScreenWorkerInvariance ./internal/cluster
 	go test ./cmd/tsq
 	go test -run TestObsOverhead .
+
+# expdiff regenerates every experiment at seed 1 and diffs it against
+# the checked-in experiments_output.txt, dropping only the wall-clock
+# "[N experiment(s) in Xs]" footer. Any other line that differs is a
+# change in decisions; the target prints nothing when there is none.
+EXP_FOOTER = ^\[[0-9]* experiment(s) in [0-9.]*s\]$$
+expdiff:
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	go run ./cmd/experiments -experiment all -seed 1 | grep -v '$(EXP_FOOTER)' > "$$out" && \
+	grep -v '$(EXP_FOOTER)' experiments_output.txt | diff -u - "$$out"
 
 # benchfigs times regenerating every paper figure once.
 benchfigs:

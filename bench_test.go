@@ -195,14 +195,14 @@ func BenchmarkAcquisitionMaximize(b *testing.B) {
 	topo := resource.Default()
 	const nJobs = 3
 	target := resource.EqualSplit(topo, nJobs).Vector()
-	objective := func(x []float64) float64 {
+	objective := optimize.PerRow(func(x []float64) float64 {
 		var s float64
 		for i := range x {
 			d := x[i] - target[i]
 			s -= d * d
 		}
 		return s
-	}
+	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		optimize.Maximize(optimize.Problem{

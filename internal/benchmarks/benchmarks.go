@@ -289,8 +289,9 @@ func gpFit(cfg Config) bench {
 	return bench{op: op, reset: reset, every: window}
 }
 
-// gpPredict measures one posterior evaluation through PredictWith and
-// a reused buffer.
+// gpPredict measures one posterior evaluation: a one-row PredictBatch
+// through a reused buffer, the form the engine's single-point scores
+// take.
 func gpPredict(cfg Config) bench {
 	n, dim := 50, 15
 	if cfg.Quick {
@@ -301,10 +302,11 @@ func gpPredict(cfg Config) bench {
 	if err != nil {
 		panic(err)
 	}
-	probe := xs[0]
+	probe := xs[:1]
+	var mean, std [1]float64
 	var buf gp.PredictBuf
 	return bench{op: func() {
-		if _, _, err := model.PredictWith(&buf, probe); err != nil {
+		if err := model.PredictBatch(probe, mean[:], std[:], &buf); err != nil {
 			panic(err)
 		}
 	}}
@@ -322,33 +324,26 @@ func acquisitionMaximize(cfg Config) bench {
 		iters = 10
 	}
 	target := resource.EqualSplit(topo, nJobs).Vector()
-	objective := func(x []float64) float64 {
+	objective := optimize.PerRow(func(x []float64) float64 {
 		var s float64
 		for i := range x {
 			d := x[i] - target[i]
 			s -= d * d
 		}
 		return s
-	}
-	// The multi-start arena carries across ops and gradient probes are
-	// scored in batches, as the engine does.
+	})
+	// The multi-start arena carries across ops, as in the engine.
 	scratch := new(optimize.Scratch)
-	batch := func(xs [][]float64, out []float64) {
-		for i, x := range xs {
-			out[i] = objective(x)
-		}
-	}
 	seed := int64(0)
 	return bench{op: func() {
 		seed++
 		optimize.Maximize(optimize.Problem{
 			Topo: topo, NJobs: nJobs,
-			Objective:      objective,
-			BatchObjective: batch,
-			FrozenJob:      -1,
-			Iterations:     iters,
-			RNG:            stats.NewRNG(seed),
-			Scratch:        scratch,
+			Objective:  objective,
+			FrozenJob:  -1,
+			Iterations: iters,
+			RNG:        stats.NewRNG(seed),
+			Scratch:    scratch,
 		})
 	}}
 }

@@ -332,7 +332,6 @@ func (r *Runner) Run(eval EvalFunc, opts Options) (Result, error) {
 		// The objectives are engine methods bound once at construction;
 		// the per-iteration state they read is published here.
 		e.curModel, e.curBestMean = model, bestMean
-		eiObjective := e.eiObjFn
 
 		// Once a QoS-meeting configuration exists, every third step is
 		// a direct reshuffle probe: move units from the job doing best
@@ -346,7 +345,7 @@ func (r *Runner) Run(eval EvalFunc, opts Options) (Result, error) {
 		if e.best().Eval.Score > 0.5 && iter%3 == 1 {
 			if cand, ok := e.reshuffleProbe(rng); ok {
 				e.xVec = cand.VectorInto(e.xVec)
-				probeEI := eiObjective(e.xVec)
+				probeEI := e.scoreOne(e.eiBatchFn, e.xVec)
 				result.EITrace = append(result.EITrace, probeEI)
 				if err := e.evaluate(cand, eval); err != nil {
 					return Result{}, err
@@ -370,23 +369,20 @@ func (r *Runner) Run(eval EvalFunc, opts Options) (Result, error) {
 		// model is decent; interleaving mean-climbing steps converts
 		// model knowledge into score steadily without giving up the
 		// exploration the other two thirds provide.
-		objective := eiObjective
-		batchObjective := e.eiBatchFn
+		objective := e.eiBatchFn
 		if ee := opts.exploitEvery(); ee > 0 && iter%ee == ee-1 {
-			objective = e.meanObjFn
-			batchObjective = e.meanBatchFn
+			objective = e.meanBatchFn
 		}
 		starts := e.collectStarts(e.best())
 		problem := optimize.Problem{
 			Topo: topo, NJobs: nJobs,
-			Objective:      objective,
-			BatchObjective: batchObjective,
-			FrozenJob:      frozenJob,
-			FrozenAlloc:    frozenAlloc,
-			Starts:         starts,
-			RNG:            rng,
-			Workers:        opts.Workers,
-			Scratch:        &e.maxScratch,
+			Objective:   objective,
+			FrozenJob:   frozenJob,
+			FrozenAlloc: frozenAlloc,
+			Starts:      starts,
+			RNG:         rng,
+			Workers:     opts.Workers,
+			Scratch:     &e.maxScratch,
 		}
 		// Wall-clock timing is metrics-only (a profile, never part of
 		// the deterministic trace), so the clock read is skipped
@@ -401,7 +397,7 @@ func (r *Runner) Run(eval EvalFunc, opts Options) (Result, error) {
 		}
 		// The trace and the termination rule are always in EI units,
 		// whichever objective picked the candidate.
-		eiStar := eiObjective(xStar)
+		eiStar := e.scoreOne(e.eiBatchFn, xStar)
 		result.EITrace = append(result.EITrace, eiStar)
 
 		resource.RoundFeasibleInto(topo, nJobs, xStar, &e.roundCfg, &e.roundScratch)
@@ -523,14 +519,16 @@ type engine struct {
 
 	// Per-iteration acquisition state published by Run and read by the
 	// objective methods below. The method values are bound once in
-	// newEngine so the hot loop never materializes fresh closures.
+	// newEngine so the hot loop never materializes fresh closures;
+	// oneRow/oneVal are scoreOne's batch, used on the Run goroutine
+	// only.
 	acq         Acquisition
 	curModel    *gp.GP
 	curBestMean float64
-	eiObjFn     func([]float64) float64
-	meanObjFn   func([]float64) float64
 	eiBatchFn   func([][]float64, []float64)
 	meanBatchFn func([][]float64, []float64)
+	oneRow      [1][]float64
+	oneVal      [1]float64
 
 	// Config/vector arenas for the decision loop. Each scratch config
 	// is owned by exactly one call path; evaluate copies whatever it
@@ -569,8 +567,6 @@ type engine struct {
 func newEngine(topo resource.Topology, nJobs int) *engine {
 	e := &engine{topo: topo, nJobs: nJobs}
 	e.scratch.New = func() any { return new(predictScratch) }
-	e.eiObjFn = e.eiObjective
-	e.meanObjFn = e.meanObjective
 	e.eiBatchFn = e.eiBatch
 	e.meanBatchFn = e.meanBatch
 	return e
@@ -675,49 +671,19 @@ func (e *engine) bootSlot() *resource.Config {
 	return c
 }
 
-// predictScratch is one goroutine's worth of objective scratch. The
-// batch fields serve the batched acquisition path: one normalized row
-// per candidate plus the PredictBatch outputs.
+// predictScratch is one goroutine's worth of objective scratch: one
+// normalized row per candidate plus the PredictBatch outputs.
 type predictScratch struct {
-	norm []float64
-	buf  gp.PredictBuf
-
+	buf      gp.PredictBuf
 	normFlat []float64
 	normRows [][]float64
 	means    []float64
 	stds     []float64
 }
 
-// eiObjective scores one continuous candidate under the published
-// per-iteration state (curModel, curBestMean, acq).
-func (e *engine) eiObjective(x []float64) float64 {
-	s := e.scratch.Get().(*predictScratch)
-	s.norm = e.normalizeInto(s.norm, x)
-	mean, std, err := e.curModel.PredictWith(&s.buf, s.norm)
-	e.scratch.Put(s)
-	if err != nil {
-		return math.Inf(-1)
-	}
-	return e.acq.Value(mean, std, e.curBestMean)
-}
-
-// meanObjective is the pure-exploitation objective: the posterior mean.
-func (e *engine) meanObjective(x []float64) float64 {
-	s := e.scratch.Get().(*predictScratch)
-	s.norm = e.normalizeInto(s.norm, x)
-	mean, _, err := e.curModel.PredictWith(&s.buf, s.norm)
-	e.scratch.Put(s)
-	if err != nil {
-		return math.Inf(-1)
-	}
-	return mean
-}
-
-// batchEval scores a candidate batch through one PredictBatch call.
-// Per-point operation chains are identical to the scalar objectives —
-// batching restructures only the scheduling across points — so the
-// outputs are bit-equal to calling the scalar objective per row (the
-// decision-identity test pins this through whole runs).
+// batchEval scores a candidate batch under the published per-iteration
+// state (curModel, curBestMean, acq) through one PredictBatch call —
+// EI, or with meanOnly the posterior mean (pure exploitation).
 func (e *engine) batchEval(xs [][]float64, out []float64, meanOnly bool) {
 	m := len(xs)
 	if m == 0 {
@@ -757,6 +723,15 @@ func (e *engine) batchEval(xs [][]float64, out []float64, meanOnly bool) {
 
 func (e *engine) eiBatch(xs [][]float64, out []float64)   { e.batchEval(xs, out, false) }
 func (e *engine) meanBatch(xs [][]float64, out []float64) { e.batchEval(xs, out, true) }
+
+// scoreOne scores x as a one-row batch of objective. It serves the
+// Run goroutine's single-point scores (probe EI, eiStar, neighbour
+// ranking) without a second, scalar objective path.
+func (e *engine) scoreOne(objective func([][]float64, []float64), x []float64) float64 {
+	e.oneRow[0] = x
+	objective(e.oneRow[:], e.oneVal[:])
+	return e.oneVal[0]
+}
 
 func (e *engine) evaluate(cfg resource.Config, eval EvalFunc) error {
 	ev, err := eval(cfg)
@@ -1145,7 +1120,7 @@ func (e *engine) collectStarts(best Sample) [][]float64 {
 // cfg and returns the unseen feasible neighbour the current objective
 // ranks highest, falling back to random perturbation when the whole
 // neighbourhood has been sampled.
-func (e *engine) bestUnseenNeighbor(cfg resource.Config, objective func([]float64) float64, rng *stats.RNG) resource.Config {
+func (e *engine) bestUnseenNeighbor(cfg resource.Config, objective func([][]float64, []float64), rng *stats.RNG) resource.Config {
 	found := false
 	bestVal := math.Inf(-1)
 	for r := range e.topo {
@@ -1159,7 +1134,7 @@ func (e *engine) bestUnseenNeighbor(cfg resource.Config, objective func([]float6
 					continue
 				}
 				e.xVec = e.candCfg.VectorInto(e.xVec)
-				if v := objective(e.xVec); v > bestVal {
+				if v := e.scoreOne(objective, e.xVec); v > bestVal {
 					bestVal = v
 					e.neighborCfg.CopyFrom(e.candCfg)
 					found = true

@@ -10,10 +10,11 @@ import (
 
 // TestBatchedEIMatchesScalar intercepts the batched EI and
 // posterior-mean objectives the engine hands the acquisition maximizer
-// and, on every batch of probe rows a seeded run produces, demands each
-// output equal the per-row scalar objective bit for bit: batching
-// restructures only the scheduling across probe points, never a
-// point's operation chain.
+// and its single-point scorers and, on every batch a seeded run
+// produces, demands each output equal a scalar reference bit for bit:
+// the row normalized, gp.Predict'ed and, for EI, closed through
+// acq.Value. Batching restructures only the scheduling across probe
+// points, never a point's operation chain.
 func TestBatchedEIMatchesScalar(t *testing.T) {
 	topo := resource.Small()
 	for seed := int64(1); seed <= 4; seed++ {
@@ -22,13 +23,23 @@ func TestBatchedEIMatchesScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := r.e
+		scalar := func(meanOnly bool, x []float64) float64 {
+			mean, std, err := e.curModel.Predict(e.normalizeInto(nil, x))
+			if err != nil {
+				return math.Inf(-1)
+			}
+			if meanOnly {
+				return mean
+			}
+			return e.acq.Value(mean, std, e.curBestMean)
+		}
 		var rows [2]int
 		mismatches, first := 0, ""
-		check := func(kind int, batch func([][]float64, []float64), scalar func([]float64) float64) func([][]float64, []float64) {
+		check := func(kind int, batch func([][]float64, []float64)) func([][]float64, []float64) {
 			return func(xs [][]float64, out []float64) {
 				batch(xs, out)
 				for i, x := range xs {
-					if want := scalar(x); math.Float64bits(out[i]) != math.Float64bits(want) {
+					if want := scalar(kind == 1, x); math.Float64bits(out[i]) != math.Float64bits(want) {
 						if mismatches == 0 {
 							first = fmt.Sprintf("objective %d row %d: batched %v, scalar %v", kind, i, out[i], want)
 						}
@@ -40,8 +51,8 @@ func TestBatchedEIMatchesScalar(t *testing.T) {
 		}
 		// Workers: 1 keeps the maximizer's ascents, and so these
 		// unsynchronized counters, on the test goroutine.
-		e.eiBatchFn = check(0, e.eiBatch, e.eiObjective)
-		e.meanBatchFn = check(1, e.meanBatch, e.meanObjective)
+		e.eiBatchFn = check(0, e.eiBatch)
+		e.meanBatchFn = check(1, e.meanBatch)
 		opts := Options{Seed: seed, MaxIterations: 20, Workers: 1}
 		if _, err := r.Run(bowlEval(topo, mustTarget(topo, 3, seed+100)), opts); err != nil {
 			t.Fatalf("seed %d: Run: %v", seed, err)

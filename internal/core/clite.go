@@ -156,58 +156,15 @@ func (c *Controller) Score(obs server.Observation) float64 {
 	return ScoreObservation(c.machine.Jobs(), obs)
 }
 
-// ScoreObservation is Score for explicit job metadata.
+// ScoreObservation is Score for explicit job metadata: one
+// MakeScoreTerm per job, closed by ScoreFromTerms — the same terms the
+// ORACLE sweep caches, so there is one Eq. 3 implementation.
 func ScoreObservation(jobs []server.Job, obs server.Observation) float64 {
-	var scratch ScoreScratch
-	return ScoreJobs(jobs, obs.P95, obs.QoSMet, obs.NormPerf, &scratch)
-}
-
-// ScoreScratch holds the per-job-class buffers one Eq. 3 evaluation
-// needs. Reusing one across calls makes ScoreJobs allocation-free —
-// the ORACLE sweep scores hundreds of thousands of configurations per
-// run. A scratch must not be shared between goroutines.
-type ScoreScratch struct {
-	lcRatios, bgPerf, lcPerf []float64
-}
-
-// ScoreJobs is ScoreObservation over parallel per-job slices with
-// caller-owned scratch: the allocation-free form for bulk scoring.
-func ScoreJobs(jobs []server.Job, p95 []float64, qosMet []bool, normPerf []float64, scratch *ScoreScratch) float64 {
-	lcRatios := scratch.lcRatios[:0]
-	bgPerf := scratch.bgPerf[:0]
-	lcPerf := scratch.lcPerf[:0]
-	allMet := true
+	terms := make([]ScoreTerm, len(jobs))
 	for i, job := range jobs {
-		if job.IsLC() {
-			ratio := 1.0
-			if p95[i] > 0 {
-				ratio = job.QoS / p95[i]
-			}
-			if ratio > 1 {
-				ratio = 1
-			}
-			lcRatios = append(lcRatios, ratio)
-			if !qosMet[i] {
-				allMet = false
-			}
-			lcPerf = append(lcPerf, stats.Clamp(normPerf[i], 0, 1))
-		} else {
-			bgPerf = append(bgPerf, stats.Clamp(normPerf[i], 0, 1))
-		}
+		terms[i] = MakeScoreTerm(job, obs.P95[i], obs.QoSMet[i], obs.NormPerf[i])
 	}
-	scratch.lcRatios, scratch.bgPerf, scratch.lcPerf = lcRatios, bgPerf, lcPerf
-	if !allMet {
-		return 0.5 * stats.GeoMean(lcRatios)
-	}
-	perf := bgPerf
-	if len(perf) == 0 {
-		perf = lcPerf
-	}
-	if len(perf) == 0 {
-		// All-BG mixes have no QoS gate; score is pure performance.
-		return 1.0
-	}
-	return 0.5 + 0.5*stats.GeoMean(perf)
+	return ScoreFromTerms(terms)
 }
 
 // jobPerf extracts the per-job "how well is this job doing" signal the

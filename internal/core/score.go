@@ -12,10 +12,11 @@ import (
 // the aggregation branches on. Because the geometric mean is a sum of
 // logs, a scorer that caches per-job measurements (the ORACLE sweep)
 // can also cache these terms and aggregate a whole configuration with
-// a handful of additions and one Exp instead of re-taking every log —
-// ScoreFromTerms is bit-identical to ScoreJobs over the same inputs
-// (the log values, their summation order, and the final Exp are the
-// exact operations GeoMean performs).
+// a handful of additions and one Exp instead of re-taking every log.
+// ScoreFromTerms is bit-identical to taking stats.GeoMean of the
+// clamped per-class values directly (the log values, their summation
+// order, and the final Exp are the exact operations GeoMean performs);
+// score_test.go keeps that direct form as the reference.
 type ScoreTerm struct {
 	LogRatio float64 // LC only: log of min(1, QoS/p95), floored at 1e-12
 	LogPerf  float64 // log of clamp(normPerf, 0, 1), floored at 1e-12
@@ -34,7 +35,8 @@ func flooredLog(x float64) float64 {
 }
 
 // MakeScoreTerm precomputes one job's score contribution from its
-// noise-free measurement, exactly as ScoreJobs would derive it.
+// measurement: the clamped QoS ratio (LC jobs) and normalized
+// performance, each floored and logged as GeoMean would.
 func MakeScoreTerm(job server.Job, p95 float64, qosMet bool, normPerf float64) ScoreTerm {
 	perf := normPerf
 	if perf < 0 {
@@ -59,9 +61,9 @@ func MakeScoreTerm(job server.Job, p95 float64, qosMet bool, normPerf float64) S
 }
 
 // ScoreFromTerms aggregates precomputed per-job terms into the Eq. 3
-// score. It reproduces ScoreJobs bit for bit: the per-class log sums
-// accumulate in job order — the order ScoreJobs appends to its
-// per-class slices — and the final Exp(sum/n) is GeoMean's closing
+// score (core.ScoreObservation is this over MakeScoreTerm). The
+// per-class log sums accumulate in job order, as GeoMean would over
+// the per-class values, and the final Exp(sum/n) is GeoMean's closing
 // operation.
 func ScoreFromTerms(terms []ScoreTerm) float64 {
 	var lcRatioSum, lcPerfSum, bgPerfSum float64
@@ -88,8 +90,8 @@ func ScoreFromTerms(terms []ScoreTerm) float64 {
 // bulk scorer can keep whole configurations in the log domain (sums
 // are monotone in the score within a QoS class, so candidates that
 // don't raise the relevant sum can be skipped without ever calling
-// Exp) and still produce the bit-exact ScoreJobs value when one is
-// needed.
+// Exp) and still produce the bit-exact ScoreFromTerms value when one
+// is needed.
 func ScoreFromSums(lcRatioSum, lcPerfSum, bgPerfSum float64, nLC, nBG int, allMet bool) float64 {
 	if !allMet {
 		if nLC == 0 {

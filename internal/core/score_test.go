@@ -6,18 +6,53 @@ import (
 	"testing"
 
 	"clite/internal/server"
+	"clite/internal/stats"
 	"clite/internal/workload"
 )
 
-// termScore runs the cached-term pipeline the ORACLE sweep uses:
-// per-job MakeScoreTerm, then ScoreFromTerms (which closes through
-// ScoreFromSums).
-func termScore(jobs []server.Job, p95 []float64, qosMet []bool, normPerf []float64) float64 {
-	terms := make([]ScoreTerm, len(jobs))
+// ScoreScratch holds ScoreJobs' per-job-class buffers.
+type ScoreScratch struct {
+	lcRatios, bgPerf, lcPerf []float64
+}
+
+// ScoreJobs is the direct form of Eq. 3 the cached-term pipeline must
+// reproduce: collect the clamped per-class values and take
+// stats.GeoMean of them, with no logs cached anywhere.
+func ScoreJobs(jobs []server.Job, p95 []float64, qosMet []bool, normPerf []float64, scratch *ScoreScratch) float64 {
+	lcRatios := scratch.lcRatios[:0]
+	bgPerf := scratch.bgPerf[:0]
+	lcPerf := scratch.lcPerf[:0]
+	allMet := true
 	for i, job := range jobs {
-		terms[i] = MakeScoreTerm(job, p95[i], qosMet[i], normPerf[i])
+		if job.IsLC() {
+			ratio := 1.0
+			if p95[i] > 0 {
+				ratio = job.QoS / p95[i]
+			}
+			if ratio > 1 {
+				ratio = 1
+			}
+			lcRatios = append(lcRatios, ratio)
+			if !qosMet[i] {
+				allMet = false
+			}
+			lcPerf = append(lcPerf, stats.Clamp(normPerf[i], 0, 1))
+		} else {
+			bgPerf = append(bgPerf, stats.Clamp(normPerf[i], 0, 1))
+		}
 	}
-	return ScoreFromTerms(terms)
+	scratch.lcRatios, scratch.bgPerf, scratch.lcPerf = lcRatios, bgPerf, lcPerf
+	if !allMet {
+		return 0.5 * stats.GeoMean(lcRatios)
+	}
+	perf := bgPerf
+	if len(perf) == 0 {
+		perf = lcPerf
+	}
+	if len(perf) == 0 {
+		return 1.0
+	}
+	return 0.5 + 0.5*stats.GeoMean(perf)
 }
 
 // sumScore re-aggregates the terms by hand and closes through
@@ -52,8 +87,10 @@ func assertBitEqual(t *testing.T, name string, want, got float64) {
 }
 
 // TestScoreFromTermsMatchesScoreJobs pins the contract ScoreTerm's doc
-// comment claims: aggregating cached per-job terms — or their raw log
-// sums — reproduces ScoreJobs bit for bit in every scoring mode. The
+// comment claims: aggregating cached per-job terms — through
+// ScoreObservation (MakeScoreTerm + ScoreFromTerms) or their raw log
+// sums — reproduces
+// the direct GeoMean form bit for bit in every scoring mode. The
 // ORACLE sweep's memoization is only sound under this equality.
 func TestScoreFromTermsMatchesScoreJobs(t *testing.T) {
 	mixed := scoreJobs()
@@ -82,7 +119,7 @@ func TestScoreFromTermsMatchesScoreJobs(t *testing.T) {
 			obs := fakeObs(tc.jobs, tc.p95, tc.norm)
 			var scratch ScoreScratch
 			want := ScoreJobs(tc.jobs, tc.p95, obs.QoSMet, tc.norm, &scratch)
-			assertBitEqual(t, "ScoreFromTerms", want, termScore(tc.jobs, tc.p95, obs.QoSMet, tc.norm))
+			assertBitEqual(t, "ScoreObservation", want, ScoreObservation(tc.jobs, obs))
 			assertBitEqual(t, "ScoreFromSums", want, sumScore(tc.jobs, tc.p95, obs.QoSMet, tc.norm))
 		})
 	}
@@ -90,13 +127,16 @@ func TestScoreFromTermsMatchesScoreJobs(t *testing.T) {
 
 // TestScoreFromTermsMatchesScoreJobsRandom sweeps randomized job mixes
 // and measurements through the same equality, including degenerate
-// values (zero p95, out-of-range perf) at a fixed rate.
+// values at a fixed rate: p95 and normPerf drawn from NaN, ±Inf, zero
+// and negatives, and perf below the GeoMean floor. NaN scores compare
+// by bits too, so both forms must propagate the same NaN.
 func TestScoreFromTermsMatchesScoreJobsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	lc := workload.MustByName("memcached")
 	bg := workload.MustByName("swaptions")
+	degenerate := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.003, -1}
 	var scratch ScoreScratch
-	for trial := 0; trial < 500; trial++ {
+	for trial := 0; trial < 2000; trial++ {
 		n := rng.Intn(6)
 		jobs := make([]server.Job, n)
 		p95 := make([]float64, n)
@@ -106,8 +146,8 @@ func TestScoreFromTermsMatchesScoreJobsRandom(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				jobs[i] = server.Job{Workload: lc, QoS: 0.004, MaxQPS: 1000, Load: 0.5}
 				p95[i] = rng.Float64() * 0.01
-				if rng.Intn(10) == 0 {
-					p95[i] = 0
+				if rng.Intn(8) == 0 {
+					p95[i] = degenerate[rng.Intn(len(degenerate))]
 				}
 				qosMet[i] = p95[i] <= jobs[i].QoS
 			} else {
@@ -115,12 +155,16 @@ func TestScoreFromTermsMatchesScoreJobsRandom(t *testing.T) {
 				qosMet[i] = true
 			}
 			norm[i] = rng.Float64()*2.4 - 0.2 // deliberately strays outside [0,1]
-			if rng.Intn(10) == 0 {
+			switch rng.Intn(10) {
+			case 0:
 				norm[i] = 1e-15 // below the GeoMean floor
+			case 1:
+				norm[i] = degenerate[rng.Intn(len(degenerate))]
 			}
 		}
 		want := ScoreJobs(jobs, p95, qosMet, norm, &scratch)
-		assertBitEqual(t, "ScoreFromTerms", want, termScore(jobs, p95, qosMet, norm))
+		obs := server.Observation{P95: p95, QoSMet: qosMet, NormPerf: norm}
+		assertBitEqual(t, "ScoreObservation", want, ScoreObservation(jobs, obs))
 		assertBitEqual(t, "ScoreFromSums", want, sumScore(jobs, p95, qosMet, norm))
 	}
 }

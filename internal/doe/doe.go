@@ -180,7 +180,7 @@ func (r RSM) Run(m *server.Machine) (policies.Result, error) {
 	if err == nil {
 		xStar := optimize.Maximize(optimize.Problem{
 			Topo: topo, NJobs: nJobs,
-			Objective: model.predict,
+			Objective: optimize.PerRow(model.predict),
 			FrozenJob: -1,
 			RNG:       rng,
 		})

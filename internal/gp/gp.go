@@ -183,26 +183,14 @@ func (g *GP) Append(x []float64, y float64) error {
 // N returns the number of conditioned samples.
 func (g *GP) N() int { return len(g.x) }
 
-// PredictBuf holds the scratch vectors one posterior evaluation needs.
-// Reusing a buffer across calls makes Predict allocation-free — the
+// PredictBuf holds PredictBatch's scratch: m points' covariance rows
+// and solve vectors packed point-major with stride n. Reusing a buffer
+// across calls makes batch prediction allocation-free — the
 // acquisition maximizer evaluates the posterior thousands of times per
 // BO iteration. A buffer must not be shared between goroutines; give
 // each worker its own (they are cheap and grow on demand).
 type PredictBuf struct {
-	kStar, v []float64
-	// kFlat/vFlat are the point-major batch scratch of PredictBatch:
-	// m points' covariance rows and solve vectors packed contiguously
-	// with stride n.
 	kFlat, vFlat []float64
-}
-
-func (b *PredictBuf) grow(n int) {
-	if cap(b.kStar) < n {
-		b.kStar = make([]float64, n)
-		b.v = make([]float64, n)
-	}
-	b.kStar = b.kStar[:n]
-	b.v = b.v[:n]
 }
 
 func (b *PredictBuf) growBatch(m, n int) {
@@ -216,25 +204,18 @@ func (b *PredictBuf) growBatch(m, n int) {
 
 // Predict returns the posterior mean and standard deviation at x, in
 // the original (unstandardized) target units. It allocates its own
-// scratch and is safe for concurrent use; hot paths should hold a
-// PredictBuf and call PredictWith instead.
+// scratch and is safe for concurrent use; hot paths score through
+// PredictBatch with a reused PredictBuf instead.
 func (g *GP) Predict(x []float64) (mean, std float64, err error) {
-	var buf PredictBuf
-	return g.PredictWith(&buf, x)
-}
-
-// PredictWith is Predict with caller-owned scratch: zero allocations
-// once the buffer has grown to the model's size.
-func (g *GP) PredictWith(buf *PredictBuf, x []float64) (mean, std float64, err error) {
 	if g.chol == nil {
 		return 0, 0, ErrNoData
 	}
 	n := len(g.x)
-	buf.grow(n)
-	kStarInto(g.kernel, g.x, x, buf.kStar)
-	muStd := linalg.Dot(buf.kStar, g.alpha)
-	g.chol.SolveLowerInto(buf.kStar, buf.v)
-	varStd := kernelSelf(g.kernel, x) - linalg.Dot(buf.v, buf.v)
+	kStar, v := make([]float64, n), make([]float64, n)
+	kStarInto(g.kernel, g.x, x, kStar)
+	muStd := linalg.Dot(kStar, g.alpha)
+	g.chol.SolveLowerInto(kStar, v)
+	varStd := kernelSelf(g.kernel, x) - linalg.Dot(v, v)
 	if varStd < 0 {
 		varStd = 0
 	}
@@ -243,14 +224,14 @@ func (g *GP) PredictWith(buf *PredictBuf, x []float64) (mean, std float64, err e
 
 // PredictBatch evaluates the posterior at every xs[i], writing into
 // means[i] and stds[i] (both must have len(xs)) through one reused
-// buffer. It is the bulk form of PredictWith for callers that score
-// whole candidate sets — per-point results are bit-equal to
-// PredictWith, but the work is restructured around the batch: kernel
+// buffer. It is the buffered posterior for every hot path, a single
+// point being a one-row batch — per-point results are bit-equal to
+// Predict, but the work is restructured around the batch: kernel
 // dispatch is hoisted out of the covariance fill, and the forward
 // solve runs factor-row-major so each packed Cholesky row is loaded
 // once for all m points instead of once per point. Per point, the
 // operation chain (covariance order, dot order, substitution order)
-// is exactly PredictWith's — only the interleaving across points
+// is exactly Predict's — only the interleaving across points
 // changes, which FP arithmetic cannot observe.
 func (g *GP) PredictBatch(xs [][]float64, means, stds []float64, buf *PredictBuf) error {
 	if len(means) != len(xs) || len(stds) != len(xs) {
@@ -269,7 +250,7 @@ func (g *GP) PredictBatch(xs [][]float64, means, stds []float64, buf *PredictBuf
 		kStarInto(g.kernel, g.x, x, buf.kFlat[j*n:(j+1)*n])
 	}
 	// Means: each point's dot runs over its contiguous covariance row
-	// in the same index order as PredictWith's Dot.
+	// in the same index order as Predict's Dot.
 	for j := 0; j < m; j++ {
 		means[j] = linalg.Dot(buf.kFlat[j*n:(j+1)*n], g.alpha)*g.sdY + g.meanY
 	}

@@ -201,7 +201,7 @@ func TestPoolMatchesFitMLE(t *testing.T) {
 }
 
 // TestPredictBatchMatchesPredict checks the bulk path returns exactly
-// what per-point Predict does, and that PredictWith reuses its buffer.
+// what per-point Predict does, and rejects short output slices.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	rng := stats.NewRNG(33)
 	xs, ys := randomSet(rng, 20, 6)

@@ -11,6 +11,9 @@
 // maximizers over the identical feasible set, restarted from multiple
 // points.
 //
+// Objectives have one form, a batch scorer (Problem.Objective,
+// DESIGN.md §13); PerRow lifts a scalar surface into it.
+//
 // The multi-starts are independent, so Maximize fans them out over a
 // bounded worker pool and reduces the results in start order — the
 // winner is a pure function of the start list, never of goroutine
@@ -90,26 +93,21 @@ func projectBoundedSimplexInPlace(v []float64, lo, hi, total float64, scratch *[
 	}
 }
 
-// Problem specifies one acquisition-maximization instance.
+// Problem specifies one acquisition-maximization instance: a batched
+// objective over the partition polytope of Topo × NJobs, plus the
+// restart and worker settings of the multi-start ascent.
 type Problem struct {
 	Topo  resource.Topology
 	NJobs int
-	// Objective is evaluated on job-major continuous unit vectors
-	// (resource.Config.Vector layout) and maximized. With Workers ≠ 1
-	// it is called from multiple goroutines concurrently and must be
-	// safe for that — pure functions (GP posteriors, response
-	// surfaces) qualify; closures carrying mutable scratch must keep
-	// it per-goroutine (sync.Pool).
-	Objective func(x []float64) float64
-	// BatchObjective, when non-nil, must write Objective(xs[i]) into
-	// out[i] for every row — bit-equal to per-row Objective calls (the
-	// GP posterior's batched path satisfies this). The gradient
-	// estimator then routes its 2·dim finite-difference probes through
-	// one call instead of 2·dim, which is what lets a GP-backed
-	// acquisition hoist kernel dispatch and factor-row traversal out of
-	// the probe loop. The ascent itself is unchanged: probe vectors,
-	// gradients, and accepted steps are byte-identical either way.
-	BatchObjective func(xs [][]float64, out []float64)
+	// Objective writes the value of each job-major continuous unit
+	// vector xs[i] (resource.Config.Vector layout) into out[i]; Maximize
+	// maximizes it. A row's value must not depend on its batch: the
+	// 2·dim gradient probes go in one call, which lets a GP posterior
+	// hoist kernel dispatch and factor-row traversal out of the probe
+	// loop, and every other point is a one-row batch. With Workers ≠ 1
+	// it is called concurrently and must be safe for that — closures
+	// carrying mutable scratch keep it per-goroutine (sync.Pool).
+	Objective func(xs [][]float64, out []float64)
 	// FrozenJob, if ≥ 0, pins that job's allocation to FrozenAlloc —
 	// the paper's dropout-copy dimensionality reduction (Sec. 4).
 	FrozenJob   int
@@ -132,6 +130,15 @@ type Problem struct {
 	// allocation-free at steady state. The returned vector aliases the
 	// scratch and is valid until the next Maximize call using it.
 	Scratch *Scratch
+}
+
+// PerRow adapts a scalar surface f to the batched Objective form.
+func PerRow(f func(x []float64) float64) func(xs [][]float64, out []float64) {
+	return func(xs [][]float64, out []float64) {
+		for i, x := range xs {
+			out[i] = f(x)
+		}
+	}
 }
 
 // Scratch holds Maximize's reusable state: the flat arena backing the
@@ -173,6 +180,9 @@ type ascender struct {
 	probeBuf  []float64
 	probeRows [][]float64
 	probeVals []float64
+	// One-row batch for the start point and step candidates.
+	row    [1][]float64
+	rowVal [1]float64
 }
 
 var ascenderPool = sync.Pool{New: func() any { return new(ascender) }}
@@ -245,7 +255,7 @@ func Maximize(p Problem) []float64 {
 // slice is ascended in place and returned.
 func (p *Problem) ascend(start []float64, a *ascender) ([]float64, float64) {
 	x := start
-	fx := p.Objective(x)
+	fx := p.value(x, a)
 	step := 2.0 // units; the search space spans tens of units per axis
 	if cap(a.grad) < len(x) {
 		a.grad = make([]float64, len(x))
@@ -261,7 +271,7 @@ func (p *Problem) ascend(start []float64, a *ascender) ([]float64, float64) {
 				cand[i] = x[i] + step*grad[i]
 			}
 			p.projectInPlace(cand, a)
-			if fc := p.Objective(cand); fc > fx {
+			if fc := p.value(cand, a); fc > fx {
 				copy(x, cand)
 				fx = fc
 				improved = true
@@ -279,78 +289,62 @@ func (p *Problem) ascend(start []float64, a *ascender) ([]float64, float64) {
 	return x, fx
 }
 
+// value scores x as a one-row batch through the ascender's row slot.
+func (p *Problem) value(x []float64, a *ascender) float64 {
+	a.row[0] = x
+	p.Objective(a.row[:], a.rowVal[:])
+	return a.rowVal[0]
+}
+
 // gradient fills g with a central-difference estimate of ∇Objective,
-// skipping frozen coordinates. Differences stay inside the feasible
+// skipping frozen coordinates, normalized so the step size is in
+// units, not objective scale. Differences stay inside the feasible
 // set only approximately; the objective must tolerate slightly
 // infeasible probes (acquisition surfaces do).
 //
-// With BatchObjective set, the 2·dim probe points are snapshotted and
-// scored in one batched call instead of 2·dim scalar ones. The
-// snapshots are taken at exactly the states the sequential path would
+// The 2·dim probe points are snapshotted and scored in one batched
+// call. Each snapshot is the state a probe-at-a-time estimator would
 // evaluate — including the rounding drift the restore step
-// (x[i]+h−2h+h) leaves behind, which later coordinates' probes
-// observe — so probe vectors, g, and the normalization are
-// byte-identical on both paths.
+// (x[i]+h−2h+h) leaves in x, which later coordinates' probes observe —
+// so batching changes only when probes are scored, never their
+// vectors.
 func (p *Problem) gradient(x []float64, g []float64, a *ascender) {
 	const h = 0.25
 	nres := len(p.Topo)
-	if p.BatchObjective != nil {
-		dim := len(x)
-		if cap(a.probeBuf) < 2*dim*dim {
-			a.probeBuf = make([]float64, 2*dim*dim)
-			a.probeRows = make([][]float64, 0, 2*dim)
-			a.probeVals = make([]float64, 2*dim)
-		}
-		a.probeRows = a.probeRows[:0]
-		for i := range x {
-			if p.FrozenJob >= 0 && i/nres == p.FrozenJob {
-				continue
-			}
-			k := len(a.probeRows)
-			up := a.probeBuf[k*dim : (k+1)*dim : (k+1)*dim]
-			down := a.probeBuf[(k+1)*dim : (k+2)*dim : (k+2)*dim]
-			x[i] += h
-			copy(up, x)
-			x[i] -= 2 * h
-			copy(down, x)
-			x[i] += h
-			a.probeRows = append(a.probeRows, up, down)
-		}
-		vals := a.probeVals[:len(a.probeRows)]
-		p.BatchObjective(a.probeRows, vals)
-		norm := 0.0
-		k := 0
-		for i := range x {
-			if p.FrozenJob >= 0 && i/nres == p.FrozenJob {
-				g[i] = 0
-				continue
-			}
-			g[i] = (vals[k] - vals[k+1]) / (2 * h)
-			k += 2
-			norm += g[i] * g[i]
-		}
-		if norm = math.Sqrt(norm); norm > 1e-12 {
-			for i := range g {
-				g[i] /= norm
-			}
-		}
-		return
+	dim := len(x)
+	if cap(a.probeBuf) < 2*dim*dim {
+		a.probeBuf = make([]float64, 2*dim*dim)
+		a.probeRows = make([][]float64, 0, 2*dim)
+		a.probeVals = make([]float64, 2*dim)
 	}
+	a.probeRows = a.probeRows[:0]
+	for i := range x {
+		if p.FrozenJob >= 0 && i/nres == p.FrozenJob {
+			continue
+		}
+		k := len(a.probeRows)
+		up := a.probeBuf[k*dim : (k+1)*dim : (k+1)*dim]
+		down := a.probeBuf[(k+1)*dim : (k+2)*dim : (k+2)*dim]
+		x[i] += h
+		copy(up, x)
+		x[i] -= 2 * h
+		copy(down, x)
+		x[i] += h
+		a.probeRows = append(a.probeRows, up, down)
+	}
+	vals := a.probeVals[:len(a.probeRows)]
+	p.Objective(a.probeRows, vals)
 	norm := 0.0
+	k := 0
 	for i := range x {
 		if p.FrozenJob >= 0 && i/nres == p.FrozenJob {
 			g[i] = 0
 			continue
 		}
-		x[i] += h
-		up := p.Objective(x)
-		x[i] -= 2 * h
-		down := p.Objective(x)
-		x[i] += h
-		g[i] = (up - down) / (2 * h)
+		g[i] = (vals[k] - vals[k+1]) / (2 * h)
+		k += 2
 		norm += g[i] * g[i]
 	}
-	// Normalize so the step size is in units, not objective scale.
 	if norm = math.Sqrt(norm); norm > 1e-12 {
 		for i := range g {
 			g[i] /= norm

@@ -102,7 +102,7 @@ func TestMaximizeFindsInteriorOptimum(t *testing.T) {
 	target := []float64{7, 3, 6, 3, 7, 4}
 	got := Maximize(Problem{
 		Topo: topo, NJobs: nJobs,
-		Objective: quadraticObjective(target),
+		Objective: PerRow(quadraticObjective(target)),
 		FrozenJob: -1,
 		RNG:       stats.NewRNG(1),
 	})
@@ -121,7 +121,7 @@ func TestMaximizeRespectsConstraintsWhenPeakInfeasible(t *testing.T) {
 	target := []float64{20, 20, 20, -5, -5, -5}
 	got := Maximize(Problem{
 		Topo: topo, NJobs: nJobs,
-		Objective: quadraticObjective(target),
+		Objective: PerRow(quadraticObjective(target)),
 		FrozenJob: -1,
 		RNG:       stats.NewRNG(2),
 	})
@@ -147,7 +147,7 @@ func TestMaximizeHonoursFrozenJob(t *testing.T) {
 	target := []float64{8, 8, 8, 1, 1, 1, 1, 1, 1}
 	got := Maximize(Problem{
 		Topo: topo, NJobs: nJobs,
-		Objective:   quadraticObjective(target),
+		Objective:   PerRow(quadraticObjective(target)),
 		FrozenJob:   1,
 		FrozenAlloc: frozen,
 		RNG:         stats.NewRNG(3),
@@ -186,7 +186,7 @@ func TestMaximizeUsesWarmStarts(t *testing.T) {
 	}
 	got := Maximize(Problem{
 		Topo: topo, NJobs: nJobs,
-		Objective: obj,
+		Objective: PerRow(obj),
 		FrozenJob: -1,
 		Starts:    [][]float64{needle},
 		RNG:       stats.NewRNG(4),
@@ -205,7 +205,7 @@ func TestMaximizeToConfigIsFeasible(t *testing.T) {
 		peak := resource.Random(topo, nJobs, local).Vector()
 		cfg := MaximizeToConfig(Problem{
 			Topo: topo, NJobs: nJobs,
-			Objective:       quadraticObjective(peak),
+			Objective:       PerRow(quadraticObjective(peak)),
 			FrozenJob:       -1,
 			NumRandomStarts: 3,
 			Iterations:      25,
@@ -224,7 +224,7 @@ func TestMaximizeDeterministicGivenSeed(t *testing.T) {
 	run := func() []float64 {
 		return Maximize(Problem{
 			Topo: topo, NJobs: 2,
-			Objective: quadraticObjective(target),
+			Objective: PerRow(quadraticObjective(target)),
 			FrozenJob: -1,
 			RNG:       stats.NewRNG(42),
 		})

@@ -8,19 +8,6 @@ import (
 	"clite/internal/stats"
 )
 
-// quadObjective is a deterministic, concurrency-safe test surface
-// with its optimum at target.
-func quadObjective(target []float64) func([]float64) float64 {
-	return func(x []float64) float64 {
-		var s float64
-		for i := range x {
-			d := x[i] - target[i]
-			s -= d * d
-		}
-		return s
-	}
-}
-
 // TestMaximizeParallelIsByteIdentical runs the same problem with 1 and
 // 8 workers (fresh identically-seeded RNGs, so the start sets match)
 // and demands bit-equal results: the reduction is ordered by start
@@ -33,7 +20,7 @@ func TestMaximizeParallelIsByteIdentical(t *testing.T) {
 		run := func(workers int) []float64 {
 			return Maximize(Problem{
 				Topo: topo, NJobs: nJobs,
-				Objective: quadObjective(target),
+				Objective: PerRow(quadraticObjective(target)),
 				FrozenJob: -1,
 				RNG:       stats.NewRNG(seed),
 				Workers:   workers,
@@ -62,7 +49,7 @@ func TestMaximizeParallelWithFrozenJob(t *testing.T) {
 	run := func(workers int) []float64 {
 		return Maximize(Problem{
 			Topo: topo, NJobs: nJobs,
-			Objective:   quadObjective(target),
+			Objective:   PerRow(quadraticObjective(target)),
 			FrozenJob:   1,
 			FrozenAlloc: frozen,
 			RNG:         stats.NewRNG(3),
@@ -100,7 +87,7 @@ func TestMaximizeConcurrentCallers(t *testing.T) {
 			target := resource.EqualSplit(topo, nJobs).Vector()
 			results[g] = Maximize(Problem{
 				Topo: topo, NJobs: nJobs,
-				Objective: quadObjective(target),
+				Objective: PerRow(quadraticObjective(target)),
 				FrozenJob: -1,
 				RNG:       stats.NewRNG(int64(g)),
 				Workers:   2,
@@ -112,7 +99,7 @@ func TestMaximizeConcurrentCallers(t *testing.T) {
 		nJobs := 2 + g%3
 		want := Maximize(Problem{
 			Topo: topo, NJobs: nJobs,
-			Objective: quadObjective(resource.EqualSplit(topo, nJobs).Vector()),
+			Objective: PerRow(quadraticObjective(resource.EqualSplit(topo, nJobs).Vector())),
 			FrozenJob: -1,
 			RNG:       stats.NewRNG(int64(g)),
 			Workers:   1,

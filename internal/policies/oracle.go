@@ -266,9 +266,9 @@ func (sw *oracleSweep) measure(j int, alloc resource.Allocation) measEntry {
 }
 
 // sums accumulates cfg's per-class Eq. 3 log sums in job order —
-// exactly the order core.ScoreJobs appends to its per-class slices,
-// so closing them with core.ScoreFromSums is bit-identical to
-// ScoreJobs.
+// exactly the order core.ScoreFromTerms accumulates them, so closing
+// them with core.ScoreFromSums is bit-identical to
+// core.ScoreObservation.
 func (sw *oracleSweep) sums(cfg resource.Config) (lcRatioSum, lcPerfSum, bgPerfSum float64, allMet bool) {
 	allMet = true
 	for j := range sw.jobs {
@@ -288,7 +288,7 @@ func (sw *oracleSweep) sums(cfg resource.Config) (lcRatioSum, lcPerfSum, bgPerfS
 
 // score computes the exact Eq. 3 score of cfg without materializing an
 // Observation, closing the memoized log-term sums (bit-identical to
-// ScoreJobs, see core.ScoreFromSums).
+// core.ScoreObservation, see core.ScoreFromSums).
 func (sw *oracleSweep) score(cfg resource.Config) float64 {
 	sw.examined++
 	lcR, lcP, bgP, allMet := sw.sums(cfg)

@@ -4,30 +4,57 @@ import (
 	"math"
 	"testing"
 
-	"clite/internal/core"
 	"clite/internal/resource"
 	"clite/internal/server"
+	"clite/internal/stats"
 )
 
 // naiveScorer scores configurations the straightforward way: every job
 // measured directly (no memo, no table) and the Eq. 3 score computed
-// by core.ScoreJobs.
+// by geoMeanScore, so the sweep's cached log terms are never checked
+// against themselves.
 func naiveScorer(t *testing.T, m *server.Machine) func(resource.Config) float64 {
 	jobs := m.Jobs()
-	p95 := make([]float64, len(jobs))
-	qosMet := make([]bool, len(jobs))
-	norm := make([]float64, len(jobs))
-	var scratch core.ScoreScratch
 	return func(cfg resource.Config) float64 {
+		meas := make([]server.JobMeasurement, len(jobs))
 		for j := range jobs {
-			meas, err := m.MeasureJobIdeal(j, cfg.Jobs[j])
-			if err != nil {
+			var err error
+			if meas[j], err = m.MeasureJobIdeal(j, cfg.Jobs[j]); err != nil {
 				t.Fatalf("MeasureJobIdeal(%d, %v): %v", j, cfg.Jobs[j], err)
 			}
-			p95[j], qosMet[j], norm[j] = meas.P95, meas.QoSMet, meas.NormPerf
 		}
-		return core.ScoreJobs(jobs, p95, qosMet, norm, &scratch)
+		return geoMeanScore(jobs, meas)
 	}
+}
+
+// geoMeanScore is Eq. 3 in its direct form: stats.GeoMean over the
+// per-class clamped QoS ratios or normalized performances.
+func geoMeanScore(jobs []server.Job, meas []server.JobMeasurement) float64 {
+	var lcRatios, lcPerf, bgPerf []float64
+	allMet := true
+	for j, job := range jobs {
+		perf := stats.Clamp(meas[j].NormPerf, 0, 1)
+		if !job.IsLC() {
+			bgPerf = append(bgPerf, perf)
+			continue
+		}
+		ratio := 1.0
+		if meas[j].P95 > 0 {
+			ratio = math.Min(1, job.QoS/meas[j].P95)
+		}
+		lcRatios = append(lcRatios, ratio)
+		lcPerf = append(lcPerf, perf)
+		allMet = allMet && meas[j].QoSMet
+	}
+	switch {
+	case !allMet:
+		return 0.5 * stats.GeoMean(lcRatios)
+	case len(bgPerf) > 0:
+		return 0.5 + 0.5*stats.GeoMean(bgPerf)
+	case len(lcPerf) > 0:
+		return 0.5 + 0.5*stats.GeoMean(lcPerf)
+	}
+	return 1
 }
 
 // naiveGrid walks the strided grid in enumeration order and returns
@@ -47,7 +74,7 @@ func naiveGrid(m *server.Machine, stride int, score func(resource.Config) float6
 // TestOracleMatchesNaiveSweep pins the Oracle's table-driven,
 // block-sharded, log-domain sweep to the naive reference over small
 // budgets: the grid winner and its score must match the first maximum
-// of a plain ForEachConfig + MeasureJobIdeal + core.ScoreJobs walk bit
+// of a plain ForEachConfig + MeasureJobIdeal + geoMeanScore walk bit
 // for bit, and the refined Run result must match the same hill climb
 // driven by the naive scorer.
 func TestOracleMatchesNaiveSweep(t *testing.T) {

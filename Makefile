@@ -6,7 +6,7 @@
 # optimization paths by the byte-identity tests), keep the benchmark
 # harness runnable (benchsmoke), and keep the telemetry layer cheap
 # (teleoverhead: CLITERun with tracing on within 5% of off).
-.PHONY: tier1 build vet lint lint-diff test race bench benchsmoke benchcompare benchfigs perftable teleoverhead trace fuzzsmoke chaossmoke fleetsmoke obssmoke expdiff
+.PHONY: tier1 build vet lint lint-diff linedelta test race bench benchsmoke benchcompare benchfigs perftable teleoverhead trace fuzzsmoke chaossmoke fleetsmoke obssmoke expdiff
 
 tier1: build vet lint race benchsmoke teleoverhead fleetsmoke obssmoke
 
@@ -33,6 +33,17 @@ lint:
 LINT_DIFF_REF ?= origin/main
 lint-diff:
 	go run ./cmd/lint -diff $(LINT_DIFF_REF) -cache .lintcache ./...
+
+# linedelta prints the added, removed and net lines of non-test Go
+# code (every tracked .go file except *_test.go and perfbench/) from
+# the merge base with LINEDELTA_REF to the working tree: the net
+# non-test line delta a change states in CHANGES.md. Untracked files
+# count once they are git-added. It reports and never fails.
+LINEDELTA_REF ?= origin/main
+linedelta:
+	@base=$$(git merge-base $(LINEDELTA_REF) HEAD) && \
+	git diff --numstat $$base -- '*.go' ':(exclude)*_test.go' ':(exclude)perfbench/' | \
+	awk -v ref='$(LINEDELTA_REF)' '{a += $$1; r += $$2} END {printf "non-test Go lines since %s: +%d -%d, net %+d\n", ref, a, r, a - r}'
 
 test:
 	go test ./...

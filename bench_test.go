@@ -152,15 +152,31 @@ func BenchmarkGPFit(b *testing.B) {
 	})
 	b.Run("refit", func(b *testing.B) {
 		for k := 0; k < b.N; k++ {
-			if _, err := gp.FitMLEWorkers("matern52", xs[:n], ys[:n], 1); err != nil {
-				b.Fatal(err)
-			}
+			gridFit(b, xs[:n], ys[:n])
 		}
 	})
 }
 
-// BenchmarkGPPredict measures one posterior evaluation, the inner-loop
-// cost of acquisition maximization.
+// gridFit conditions a fresh single-worker Matérn hyperparameter pool
+// on the samples and returns its selected model.
+func gridFit(b *testing.B, xs [][]float64, ys []float64) *gp.GP {
+	pool, err := gp.NewPool("matern52", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := pool.Condition(xs, ys); err != nil {
+		b.Fatal(err)
+	}
+	model, err := pool.Best()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return model
+}
+
+// BenchmarkGPPredict measures one posterior evaluation, a one-row
+// PredictBatch through a reused buffer: the inner-loop cost of
+// acquisition maximization.
 func BenchmarkGPPredict(b *testing.B) {
 	rng := stats.NewRNG(2)
 	const n, dim = 40, 15
@@ -173,17 +189,17 @@ func BenchmarkGPPredict(b *testing.B) {
 		}
 		ys[i] = rng.Float64()
 	}
-	model, err := gp.FitMLE("matern52", xs, ys)
-	if err != nil {
-		b.Fatal(err)
-	}
+	model := gridFit(b, xs, ys)
 	probe := make([]float64, dim)
 	for d := range probe {
 		probe[d] = rng.Float64()
 	}
+	probes := [][]float64{probe}
+	var mean, std [1]float64
+	var buf gp.PredictBuf
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := model.Predict(probe); err != nil {
+		if err := model.PredictBatch(probes, mean[:], std[:], &buf); err != nil {
 			b.Fatal(err)
 		}
 	}

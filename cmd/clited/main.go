@@ -50,6 +50,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"syscall"
@@ -275,6 +276,7 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 // receives one sample per committed placement (and per rehoming
 // outcome), stamped with the replica log's simulated clock, so the
 // /slo and /cells views track the command stream deterministically.
+// Every route runs under recoverPanics.
 func newHandler(g *replica.Group, reg *telemetry.Registry, store *clite.SLOStore) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/place", func(w http.ResponseWriter, r *http.Request) {
@@ -367,7 +369,31 @@ func newHandler(g *replica.Group, reg *telemetry.Registry, store *clite.SLOStore
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		io.WriteString(w, store.FormatCells())
 	})
-	return mux
+	return recoverPanics(mux)
+}
+
+// recoverPanics answers a panicking handler (a *par.Panic out of
+// screening, say) with a 500 and {"retryable":false}, logging the
+// panic and its stack to stderr. Left to net/http, the panic would
+// reach the client as a dropped connection, which callWithRetry cannot
+// tell from a transport error: it would re-submit a command some
+// replicas may already have applied. http.ErrAbortHandler keeps its
+// meaning — abort the response silently — and is re-panicked.
+func recoverPanics(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			v := recover()
+			if v == nil {
+				return
+			}
+			if err, ok := v.(error); ok && errors.Is(err, http.ErrAbortHandler) {
+				panic(v)
+			}
+			fmt.Fprintf(os.Stderr, "clited: %s %s panicked: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+			writeJSON(w, http.StatusInternalServerError, apiError{Error: "internal error serving " + r.Method + " " + r.URL.Path})
+		}()
+		h.ServeHTTP(w, r)
+	})
 }
 
 // clientCall issues one request against a running daemon with

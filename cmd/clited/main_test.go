@@ -9,12 +9,14 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	"clite"
 	"clite/internal/cluster"
+	"clite/internal/par"
 	"clite/internal/replica"
 )
 
@@ -345,4 +347,46 @@ func (lw lockedWriter) Write(p []byte) (int, error) {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
 	return lw.w.Write(p)
+}
+
+// TestPanickingHandlerIsNotRetried pins recoverPanics: a route that
+// panics (here with the *par.Panic a crashed screening worker
+// surfaces) answers 500 with {"retryable":false}, so callWithRetry
+// gives up after exactly one request instead of re-submitting a
+// command replicas may already have applied. http.ErrAbortHandler
+// still aborts the response.
+func TestPanickingHandlerIsNotRetried(t *testing.T) {
+	var requests atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/place", func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		panic(&par.Panic{Index: 3, Value: "screening worker crashed"})
+	})
+	mux.HandleFunc("GET /abort", func(w http.ResponseWriter, r *http.Request) {
+		panic(http.ErrAbortHandler)
+	})
+	srv := httptest.NewServer(recoverPanics(mux))
+	defer srv.Close()
+
+	resp := postJSON(t, srv.URL+"/v1/place", placeRequest{Workload: "memcached", Load: 0.3})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking route: status %d, want 500", resp.StatusCode)
+	}
+	if ae := decodeBody[apiError](t, resp); ae.Retryable || ae.Error == "" {
+		t.Fatalf("panicking route must answer a non-retryable error: %+v", ae)
+	}
+
+	requests.Store(0)
+	_, err := callWithRetry(srv.URL, http.MethodPost, "/v1/place", placeRequest{Workload: "memcached", Load: 0.3}, 5, 10*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "500") {
+		t.Fatalf("callWithRetry against a panicking route: %v, want a 500 error", err)
+	}
+	if n := requests.Load(); n != 1 {
+		t.Fatalf("callWithRetry sent %d requests to a panicking route, want 1", n)
+	}
+
+	if resp, err := http.Get(srv.URL + "/abort"); err == nil {
+		resp.Body.Close()
+		t.Fatalf("ErrAbortHandler answered status %d; the connection should be dropped", resp.StatusCode)
+	}
 }

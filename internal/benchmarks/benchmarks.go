@@ -298,7 +298,14 @@ func gpPredict(cfg Config) bench {
 		n, dim = 16, 8
 	}
 	xs, ys := gpData(n, dim, 2)
-	model, err := gp.FitMLE("matern52", xs, ys)
+	pool, err := gp.NewPool("matern52", 0)
+	if err != nil {
+		panic(err)
+	}
+	if err := pool.Condition(xs, ys); err != nil {
+		panic(err)
+	}
+	model, err := pool.Best()
 	if err != nil {
 		panic(err)
 	}

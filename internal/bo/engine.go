@@ -40,7 +40,7 @@ type Options struct {
 	Acquisition Acquisition
 	// KernelFamily defaults to "matern52" (Sec. 4); "rbf" for ablation.
 	KernelFamily string
-	// MaxIterations bounds post-bootstrap samples (default 64).
+	// MaxIterations bounds post-bootstrap samples (default 80).
 	MaxIterations int
 	// TerminationEI is the relative expected-improvement drop
 	// threshold (default 0.01 — "can be as low as 1%"). It is scaled
@@ -58,7 +58,7 @@ type Options struct {
 	MinIterations int
 	// StagnationWindow terminates the run when the incumbent has not
 	// improved by at least 1% of the observed score range for this
-	// many consecutive iterations (default 10). Measurement noise puts
+	// many consecutive iterations (default 24). Measurement noise puts
 	// a floor under the surrogate's expected improvement, so the
 	// EI-drop rule alone can fail to fire on a noisy system; the
 	// stagnation guard bounds the overhead in that regime. Set
@@ -699,7 +699,7 @@ func (e *engine) batchEval(xs [][]float64, out []float64, meanOnly bool) {
 	}
 	s.normRows = s.normRows[:0]
 	for j, x := range xs {
-		row := e.normalizeInto(s.normFlat[j*dim:(j+1)*dim:(j+1)*dim], x)
+		row := e.topo.NormalizeInto(s.normFlat[j*dim:(j+1)*dim:(j+1)*dim], x)
 		s.normRows = append(s.normRows, row)
 	}
 	if cap(s.means) < m {
@@ -755,26 +755,12 @@ func (e *engine) evaluate(cfg resource.Config, eval EvalFunc) error {
 	e.vecScratch = s.Config.VectorInto(e.vecScratch)
 	if i < cap(e.normXs) {
 		e.normXs = e.normXs[:i+1]
-		e.normXs[i] = e.normalizeInto(e.normXs[i], e.vecScratch)
+		e.normXs[i] = e.topo.NormalizeInto(e.normXs[i], e.vecScratch)
 	} else {
-		e.normXs = append(e.normXs, e.normalizeInto(nil, e.vecScratch))
+		e.normXs = append(e.normXs, e.topo.NormalizeInto(nil, e.vecScratch))
 	}
 	e.ys = append(e.ys[:i], ev.Score)
 	return nil
-}
-
-// normalizeInto maps a job-major unit vector into [0,1] per dimension
-// for the GP, writing into dst (grown as needed) and returning it.
-func (e *engine) normalizeInto(dst, x []float64) []float64 {
-	if cap(dst) < len(x) {
-		dst = make([]float64, len(x))
-	}
-	dst = dst[:len(x)]
-	nres := len(e.topo)
-	for i, v := range x {
-		dst[i] = v / float64(e.topo[i%nres].Units)
-	}
-	return dst
 }
 
 // mleMinSamples is the sample count below which hyperparameters are
@@ -799,7 +785,7 @@ func fixedHyperModel(family string) (*gp.GP, error) {
 // extended by one row per new observation (O(grid·n²) per iteration),
 // and model selection over the hyperparameter grid is recomputed from
 // the cached log marginal likelihoods. It selects the same model a
-// from-scratch gp.FitMLE over the same samples would (O(grid·n³)) —
+// pool freshly Conditioned on the same samples would (O(grid·n³)) —
 // the equivalence test pins it.
 func (e *engine) fit(family string) (*gp.GP, error) {
 	n := len(e.samples)

@@ -65,8 +65,8 @@ func diffTraces(t *testing.T, label string, a, b runTrace) {
 // surrogate (rank-1 Cholesky appends against the retained grid of
 // models) to a from-scratch reference at every iteration of seeded
 // runs. The evaluator runs right after the engine publishes the
-// iteration's fitted model, so it checks that model against
-// gp.FitMLEWorkers over the same samples (below mleMinSamples, the
+// iteration's fitted model, so it checks that model against a fresh
+// gp.Pool Conditioned on the same samples (below mleMinSamples, the
 // fixed-hyperparameter model refit from scratch): the same
 // hyperparameters must be selected, and the posterior mean and
 // variance must agree within 1e-10 at every sample and at 64 random
@@ -101,7 +101,12 @@ func TestIncrementalFitMatchesRefit(t *testing.T) {
 						err = ref.Fit(xs, ys)
 					}
 				} else {
-					ref, err = gp.FitMLEWorkers(family, xs, ys, 1)
+					var pool *gp.Pool
+					if pool, err = gp.NewPool(family, 1); err == nil {
+						if err = pool.Condition(xs, ys); err == nil {
+							ref, err = pool.Best()
+						}
+					}
 				}
 				if err != nil {
 					t.Fatalf("seed %d n=%d: reference fit: %v", seed, n, err)
@@ -117,8 +122,8 @@ func TestIncrementalFitMatchesRefit(t *testing.T) {
 					points = append(points, append([]float64(nil), probe...))
 				}
 				for i, x := range points {
-					im, is, err1 := inc.Predict(x)
-					rm, rs, err2 := ref.Predict(x)
+					im, is, err1 := predictOne(inc, x)
+					rm, rs, err2 := predictOne(ref, x)
 					if err1 != nil || err2 != nil {
 						t.Fatalf("seed %d n=%d: predict: %v / %v", seed, n, err1, err2)
 					}
@@ -152,4 +157,12 @@ func TestParallelRunIsByteIdentical(t *testing.T) {
 		par := traceOf(t, topo, 3, Options{Seed: seed, MaxIterations: 16, Workers: 8})
 		diffTraces(t, "sequential vs parallel", seq, par)
 	}
+}
+
+// predictOne is the single-point posterior: a one-row PredictBatch
+// through a fresh buffer.
+func predictOne(m *gp.GP, x []float64) (mean, std float64, err error) {
+	var means, stds [1]float64
+	err = m.PredictBatch([][]float64{x}, means[:], stds[:], new(gp.PredictBuf))
+	return means[0], stds[0], err
 }

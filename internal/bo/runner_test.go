@@ -11,10 +11,10 @@ import (
 // TestBatchedEIMatchesScalar intercepts the batched EI and
 // posterior-mean objectives the engine hands the acquisition maximizer
 // and its single-point scorers and, on every batch a seeded run
-// produces, demands each output equal a scalar reference bit for bit:
-// the row normalized, gp.Predict'ed and, for EI, closed through
-// acq.Value. Batching restructures only the scheduling across probe
-// points, never a point's operation chain.
+// produces, demands each output equal a single-point reference bit for
+// bit: the row normalized, scored as a one-row batch and, for EI,
+// closed through acq.Value. Batching restructures only the scheduling
+// across probe points, never a point's operation chain.
 func TestBatchedEIMatchesScalar(t *testing.T) {
 	topo := resource.Small()
 	for seed := int64(1); seed <= 4; seed++ {
@@ -24,7 +24,7 @@ func TestBatchedEIMatchesScalar(t *testing.T) {
 		}
 		e := r.e
 		scalar := func(meanOnly bool, x []float64) float64 {
-			mean, std, err := e.curModel.Predict(e.normalizeInto(nil, x))
+			mean, std, err := predictOne(e.curModel, e.topo.NormalizeInto(nil, x))
 			if err != nil {
 				return math.Inf(-1)
 			}

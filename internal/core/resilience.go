@@ -194,7 +194,7 @@ func (rt *runtime) measure(cfg resource.Config) (server.Observation, float64, er
 	if rt.isOutlier(cfg, score) {
 		obs, score = rt.remeasure(cfg, obs, score)
 	}
-	rt.points = append(rt.points, scoredPoint{x: rt.normalize(cfg), score: score})
+	rt.points = append(rt.points, scoredPoint{x: rt.topo.NormalizeInto(nil, cfg.Vector()), score: score})
 	return obs, score, nil
 }
 
@@ -233,7 +233,7 @@ func (rt *runtime) attempt(cfg resource.Config) (server.Observation, float64, er
 // this substrate, so a huge undershoot right next to a known-good
 // point smells like a corrupted window, not a real measurement.
 func (rt *runtime) isOutlier(cfg resource.Config, score float64) bool {
-	x := rt.normalize(cfg)
+	x := rt.topo.NormalizeInto(nil, cfg.Vector())
 	nearest, dist := math.NaN(), math.Inf(1)
 	for _, p := range rt.points {
 		if d := rmsDist(x, p.x); d < dist {
@@ -375,18 +375,6 @@ func (rt *runtime) guardCandidates(best resource.Config) []resource.Config {
 		cands = append(cands, rt.history[i].Config)
 	}
 	return cands
-}
-
-// normalize maps a configuration into the unit cube the way the BO
-// engine does, so neighbour distances are comparable across resources.
-func (rt *runtime) normalize(cfg resource.Config) []float64 {
-	v := cfg.Vector()
-	nres := len(rt.topo)
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = x / float64(rt.topo[i%nres].Units)
-	}
-	return out
 }
 
 func rmsDist(a, b []float64) float64 {

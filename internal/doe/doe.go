@@ -212,17 +212,9 @@ func (q *quadModel) features(x []float64) []float64 {
 	return f
 }
 
-func (q *quadModel) normalize(v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = x / float64(q.topo[i%len(q.topo)].Units)
-	}
-	return out
-}
-
 // predict evaluates the fitted surface on a raw unit vector.
 func (q *quadModel) predict(x []float64) float64 {
-	f := q.features(q.normalize(x))
+	f := q.features(q.topo.NormalizeInto(nil, x))
 	return linalg.Dot(f, q.coeff)
 }
 
@@ -239,7 +231,7 @@ func fitQuadratic(topo resource.Topology, hist []core.Step) (*quadModel, error) 
 	xtx := linalg.NewMatrix(p, p)
 	xty := make([]float64, p)
 	for _, step := range hist {
-		f := q.features(q.normalize(step.Config.Vector()))
+		f := q.features(q.topo.NormalizeInto(nil, step.Config.Vector()))
 		for i := 0; i < p; i++ {
 			xty[i] += f[i] * step.Score
 			row := xtx.Row(i)
@@ -252,11 +244,12 @@ func fitQuadratic(topo resource.Topology, hist []core.Step) (*quadModel, error) 
 	for i := 0; i < p; i++ {
 		xtx.Set(i, i, xtx.At(i, i)+ridge)
 	}
-	chol, _, err := linalg.Cholesky(xtx, 1.0)
-	if err != nil {
+	chol := linalg.NewChol(p)
+	if _, err := chol.Factor(xtx, 1.0); err != nil {
 		return nil, fmt.Errorf("doe: normal equations: %w", err)
 	}
-	q.coeff = linalg.CholeskySolve(chol, xty)
+	chol.SolveInto(xty, xty)
+	q.coeff = xty
 	if anyNaN(q.coeff) {
 		return nil, fmt.Errorf("doe: degenerate fit")
 	}

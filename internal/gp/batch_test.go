@@ -22,10 +22,7 @@ func batchTestModel(t *testing.T, workers int) (*GP, [][]float64) {
 		}
 		y[i] = math.Sin(3*x[i][0]) + 0.5*x[i][1]*x[i][2] + 0.1*rng.NormFloat64()
 	}
-	model, err := FitMLEWorkers("matern52", x, y, workers)
-	if err != nil {
-		t.Fatalf("FitMLEWorkers(%d): %v", workers, err)
-	}
+	model := fitPool(t, "matern52", x, y, workers)
 	probes := make([][]float64, 64)
 	for i := range probes {
 		probes[i] = make([]float64, dim)

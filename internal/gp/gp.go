@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"clite/internal/linalg"
-	"clite/internal/par"
 	"clite/internal/stats"
 )
 
@@ -41,7 +40,8 @@ type GP struct {
 	cholBuf *linalg.Chol
 }
 
-// ErrNoData is returned by Predict before any Fit.
+// ErrNoData is returned by PredictBatch and LogMarginalLikelihood
+// before any successful Fit.
 var ErrNoData = errors.New("gp: model has no training data")
 
 // New returns a GP with the kernel and observation-noise variance.
@@ -91,11 +91,11 @@ func (g *GP) refit() error {
 	g.kmat.Resize(n, n)
 	k := g.kmat
 	for i := 0; i < n; i++ {
-		// Row i against x[i:] through the dispatch-hoisted batch eval;
-		// arguments are ordered (x[j], x[i]) — scaledDistance squares
-		// each difference, so the symmetric value is bit-equal.
+		// Row i against x[i:]; arguments are ordered (x[j], x[i]) —
+		// dist squares each difference, so the symmetric value is
+		// bit-equal.
 		row := k.Row(i)[i:]
-		kStarInto(g.kernel, g.x[i:], g.x[i], row)
+		g.kernel.rowInto(g.x[i:], g.x[i], row)
 		for j := i + 1; j < n; j++ {
 			k.Set(j, i, row[j-i])
 		}
@@ -166,8 +166,8 @@ func (g *GP) Append(x []float64, y float64) error {
 		g.kRow = make([]float64, 0, 2*n)
 	}
 	g.kRow = g.kRow[:n]
-	kStarInto(g.kernel, g.x, x, g.kRow)
-	diag := kernelSelf(g.kernel, x) + g.noise + g.jitter
+	g.kernel.rowInto(g.x, x, g.kRow)
+	diag := g.kernel.variance + g.noise + g.jitter
 	g.x = append(g.x, x)
 	g.yRaw = append(g.yRaw, y)
 	if err := g.chol.AppendRow(g.kRow, diag); err != nil {
@@ -202,37 +202,16 @@ func (b *PredictBuf) growBatch(m, n int) {
 	b.vFlat = b.vFlat[:m*n]
 }
 
-// Predict returns the posterior mean and standard deviation at x, in
-// the original (unstandardized) target units. It allocates its own
-// scratch and is safe for concurrent use; hot paths score through
-// PredictBatch with a reused PredictBuf instead.
-func (g *GP) Predict(x []float64) (mean, std float64, err error) {
-	if g.chol == nil {
-		return 0, 0, ErrNoData
-	}
-	n := len(g.x)
-	kStar, v := make([]float64, n), make([]float64, n)
-	kStarInto(g.kernel, g.x, x, kStar)
-	muStd := linalg.Dot(kStar, g.alpha)
-	g.chol.SolveLowerInto(kStar, v)
-	varStd := kernelSelf(g.kernel, x) - linalg.Dot(v, v)
-	if varStd < 0 {
-		varStd = 0
-	}
-	return muStd*g.sdY + g.meanY, math.Sqrt(varStd) * g.sdY, nil
-}
-
-// PredictBatch evaluates the posterior at every xs[i], writing into
-// means[i] and stds[i] (both must have len(xs)) through one reused
-// buffer. It is the buffered posterior for every hot path, a single
-// point being a one-row batch — per-point results are bit-equal to
-// Predict, but the work is restructured around the batch: kernel
-// dispatch is hoisted out of the covariance fill, and the forward
-// solve runs factor-row-major so each packed Cholesky row is loaded
-// once for all m points instead of once per point. Per point, the
-// operation chain (covariance order, dot order, substitution order)
-// is exactly Predict's — only the interleaving across points
-// changes, which FP arithmetic cannot observe.
+// PredictBatch evaluates the posterior mean and standard deviation,
+// in the original (unstandardized) target units, at every xs[i],
+// writing into means[i] and stds[i] (both must have len(xs)) through
+// one reused buffer. It is the model's only posterior path, a single
+// point being a one-row batch. The forward solve runs factor-row-major
+// so each packed Cholesky row is loaded once for all m points instead
+// of once per point. Per point, the operation chain (covariance order,
+// dot order, substitution order) is that of a plain single-point
+// posterior — only the interleaving across points changes, which FP
+// arithmetic cannot observe.
 func (g *GP) PredictBatch(xs [][]float64, means, stds []float64, buf *PredictBuf) error {
 	if len(means) != len(xs) || len(stds) != len(xs) {
 		return fmt.Errorf("gp: PredictBatch needs %d-slot outputs, got %d/%d", len(xs), len(means), len(stds))
@@ -247,10 +226,9 @@ func (g *GP) PredictBatch(xs [][]float64, means, stds []float64, buf *PredictBuf
 	n := len(g.x)
 	buf.growBatch(m, n)
 	for j, x := range xs {
-		kStarInto(g.kernel, g.x, x, buf.kFlat[j*n:(j+1)*n])
+		g.kernel.rowInto(g.x, x, buf.kFlat[j*n:(j+1)*n])
 	}
-	// Means: each point's dot runs over its contiguous covariance row
-	// in the same index order as Predict's Dot.
+	// Means: each point's dot runs over its contiguous covariance row.
 	for j := 0; j < m; j++ {
 		means[j] = linalg.Dot(buf.kFlat[j*n:(j+1)*n], g.alpha)*g.sdY + g.meanY
 	}
@@ -268,9 +246,9 @@ func (g *GP) PredictBatch(xs [][]float64, means, stds []float64, buf *PredictBuf
 			v[i] = sum / d
 		}
 	}
-	for j, x := range xs {
+	for j := range xs {
 		v := buf.vFlat[j*n : (j+1)*n]
-		varStd := kernelSelf(g.kernel, x) - linalg.Dot(v, v)
+		varStd := g.kernel.variance - linalg.Dot(v, v)
 		if varStd < 0 {
 			varStd = 0
 		}
@@ -290,84 +268,4 @@ func (g *GP) LogMarginalLikelihood() (float64, error) {
 	return -0.5*linalg.Dot(g.yStd, g.alpha) -
 		0.5*g.chol.LogDet() -
 		0.5*n*math.Log(2*math.Pi), nil
-}
-
-// hyperGrid is the length-scale × noise grid FitMLE and Pool search.
-// The grid tops out at 0.6: with inputs normalized to [0,1] a unit
-// length scale declares the whole space "as good as sampled",
-// collapsing posterior variance and killing acquisition-driven
-// exploration in the early iterations.
-var hyperGrid = func() []struct{ LengthScale, Noise float64 } {
-	lengthScales := []float64{0.1, 0.2, 0.35, 0.6}
-	noises := []float64{1e-4, 1e-3, 1e-2}
-	grid := make([]struct{ LengthScale, Noise float64 }, 0, len(lengthScales)*len(noises))
-	for _, l := range lengthScales {
-		for _, nz := range noises {
-			grid = append(grid, struct{ LengthScale, Noise float64 }{l, nz})
-		}
-	}
-	return grid
-}()
-
-// FitMLE fits GPs across a small hyperparameter grid (length scale ×
-// noise) for the given kernel family and returns the model with the
-// highest log marginal likelihood. Inputs are assumed normalized to
-// [0,1] per dimension (the BO engine guarantees this), which is what
-// makes a fixed grid broadly applicable and keeps CLITE free of
-// per-job-mix tuning. The grid points are fit concurrently across
-// NumCPU-bounded workers.
-func FitMLE(family string, x [][]float64, y []float64) (*GP, error) {
-	return FitMLEWorkers(family, x, y, 0)
-}
-
-// FitMLEWorkers is FitMLE over an explicit worker count (0 means
-// NumCPU, 1 forces the sequential path). The selection is a grid-order
-// argmax over per-point results, so the returned model is
-// byte-identical whatever the worker count — ties and float compares
-// are resolved by grid position, never by goroutine arrival order.
-func FitMLEWorkers(family string, x [][]float64, y []float64, workers int) (*GP, error) {
-	if _, err := KernelByName(family, 1, 1); err != nil {
-		return nil, err
-	}
-	models := make([]*GP, len(hyperGrid))
-	lmls := make([]float64, len(hyperGrid))
-	errs := make([]error, len(hyperGrid))
-	par.ForEach(workers, len(hyperGrid), func(i int) {
-		kernel, err := KernelByName(family, hyperGrid[i].LengthScale, 1.0)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		model := New(kernel, hyperGrid[i].Noise)
-		if err := model.Fit(x, y); err != nil {
-			errs[i] = err
-			return
-		}
-		lml, err := model.LogMarginalLikelihood()
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		models[i] = model
-		lmls[i] = lml
-	})
-	var best *GP
-	bestLML := math.Inf(-1)
-	var lastErr error
-	for i, model := range models {
-		if model == nil {
-			if errs[i] != nil {
-				lastErr = errs[i]
-			}
-			continue
-		}
-		if lmls[i] > bestLML {
-			bestLML = lmls[i]
-			best = model
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("gp: no hyperparameter setting fit the data: %w", lastErr)
-	}
-	return best, nil
 }

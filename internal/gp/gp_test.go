@@ -5,20 +5,72 @@ import (
 	"testing"
 	"testing/quick"
 
+	"clite/internal/linalg"
 	"clite/internal/stats"
 )
 
+// Predict is the scalar posterior reference the batch tests compare
+// PredictBatch against: the posterior mean and standard deviation at
+// x, in the original target units, with its own scratch.
+func (g *GP) Predict(x []float64) (mean, std float64, err error) {
+	if g.chol == nil {
+		return 0, 0, ErrNoData
+	}
+	n := len(g.x)
+	kStar, v := make([]float64, n), make([]float64, n)
+	g.kernel.rowInto(g.x, x, kStar)
+	muStd := linalg.Dot(kStar, g.alpha)
+	g.chol.SolveLowerInto(kStar, v)
+	varStd := g.kernel.variance - linalg.Dot(v, v)
+	if varStd < 0 {
+		varStd = 0
+	}
+	return muStd*g.sdY + g.meanY, math.Sqrt(varStd) * g.sdY, nil
+}
+
+// fitPool conditions a fresh hyperparameter pool of the family on the
+// samples with the given worker count and returns its selected model:
+// the from-scratch grid fit.
+func fitPool(t testing.TB, family string, x [][]float64, y []float64, workers int) *GP {
+	t.Helper()
+	pool, err := NewPool(family, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Condition(x, y); err != nil {
+		t.Fatal(err)
+	}
+	model, err := pool.Best()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return model
+}
+
+// matern returns a unit-variance Matérn 5/2 kernel of length scale l.
+func matern(l float64) Kernel {
+	k, _ := KernelByName("matern52", l, 1)
+	return k
+}
+
+// eval returns k(a, b).
+func eval(k Kernel, a, b []float64) float64 {
+	var out [1]float64
+	k.rowInto([][]float64{a}, b, out[:])
+	return out[0]
+}
+
 func TestKernelByName(t *testing.T) {
 	m, err := KernelByName("matern52", 0.5, 1)
-	if err != nil || m.Name() != "matern52" {
+	if err != nil || m.family != "matern52" {
 		t.Fatalf("matern52: %v %v", m, err)
 	}
 	r, err := KernelByName("rbf", 0.5, 1)
-	if err != nil || r.Name() != "rbf" {
+	if err != nil || r.family != "rbf" {
 		t.Fatalf("rbf: %v %v", r, err)
 	}
 	d, err := KernelByName("", 0.5, 1)
-	if err != nil || d.Name() != "matern52" {
+	if err != nil || d.family != "matern52" {
 		t.Fatal("default kernel should be matern52")
 	}
 	if _, err := KernelByName("linear", 0.5, 1); err == nil {
@@ -27,38 +79,38 @@ func TestKernelByName(t *testing.T) {
 }
 
 func TestKernelProperties(t *testing.T) {
-	kernels := []Kernel{
-		Matern52{LengthScales: []float64{0.3}, Variance: 2},
-		RBF{LengthScales: []float64{0.3}, Variance: 2},
-	}
 	a := []float64{0.1, 0.9}
 	b := []float64{0.4, 0.2}
-	for _, k := range kernels {
-		if got := k.Eval(a, a); math.Abs(got-2) > 1e-12 {
-			t.Errorf("%s: k(a,a) = %v, want variance 2", k.Name(), got)
+	for _, family := range []string{"matern52", "rbf"} {
+		k, err := KernelByName(family, 0.3, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if k.Eval(a, b) != k.Eval(b, a) {
-			t.Errorf("%s: kernel not symmetric", k.Name())
+		if got := eval(k, a, a); got != 2 {
+			t.Errorf("%s: k(a,a) = %v, want exactly the variance 2", family, got)
 		}
-		if k.Eval(a, b) >= k.Eval(a, a) {
-			t.Errorf("%s: distinct points should have lower covariance", k.Name())
+		if eval(k, a, b) != eval(k, b, a) {
+			t.Errorf("%s: kernel not symmetric", family)
 		}
-		if k.Eval(a, b) <= 0 {
-			t.Errorf("%s: covariance should be positive", k.Name())
+		if eval(k, a, b) >= eval(k, a, a) {
+			t.Errorf("%s: distinct points should have lower covariance", family)
+		}
+		if eval(k, a, b) <= 0 {
+			t.Errorf("%s: covariance should be positive", family)
 		}
 	}
 }
 
 func TestKernelDecaysWithDistanceProperty(t *testing.T) {
-	k := Matern52{LengthScales: []float64{0.5}, Variance: 1}
+	k := matern(0.5)
 	f := func(x1, x2 uint8) bool {
 		d1 := float64(x1) / 255
 		d2 := float64(x2) / 255
 		if d1 > d2 {
 			d1, d2 = d2, d1
 		}
-		near := k.Eval([]float64{0}, []float64{d1})
-		far := k.Eval([]float64{0}, []float64{d2})
+		near := eval(k, []float64{0}, []float64{d1})
+		far := eval(k, []float64{0}, []float64{d2})
 		return far <= near+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -66,20 +118,14 @@ func TestKernelDecaysWithDistanceProperty(t *testing.T) {
 	}
 }
 
-func TestARDLengthScales(t *testing.T) {
-	// A short length scale on dim 0 makes distance in dim 0 matter more.
-	k := Matern52{LengthScales: []float64{0.1, 10}, Variance: 1}
-	alongFirst := k.Eval([]float64{0, 0}, []float64{0.5, 0})
-	alongSecond := k.Eval([]float64{0, 0}, []float64{0, 0.5})
-	if alongFirst >= alongSecond {
-		t.Errorf("ARD: %v should be < %v", alongFirst, alongSecond)
-	}
-}
-
 func TestPredictBeforeFit(t *testing.T) {
-	g := New(Matern52{LengthScales: []float64{0.3}, Variance: 1}, 1e-4)
+	g := New(matern(0.3), 1e-4)
 	if _, _, err := g.Predict([]float64{0}); err != ErrNoData {
 		t.Errorf("expected ErrNoData, got %v", err)
+	}
+	var mean, std [1]float64
+	if err := g.PredictBatch([][]float64{{0}}, mean[:], std[:], new(PredictBuf)); err != ErrNoData {
+		t.Errorf("PredictBatch: expected ErrNoData, got %v", err)
 	}
 	if _, err := g.LogMarginalLikelihood(); err != ErrNoData {
 		t.Errorf("expected ErrNoData, got %v", err)
@@ -87,7 +133,7 @@ func TestPredictBeforeFit(t *testing.T) {
 }
 
 func TestFitValidation(t *testing.T) {
-	g := New(Matern52{LengthScales: []float64{0.3}, Variance: 1}, 1e-4)
+	g := New(matern(0.3), 1e-4)
 	if err := g.Fit(nil, nil); err == nil {
 		t.Error("empty fit should fail")
 	}
@@ -102,7 +148,7 @@ func TestFitValidation(t *testing.T) {
 func TestInterpolatesTrainingPoints(t *testing.T) {
 	x := [][]float64{{0}, {0.25}, {0.5}, {0.75}, {1}}
 	y := []float64{0, 2, 3, 2.5, 5}
-	g := New(Matern52{LengthScales: []float64{0.3}, Variance: 1}, 1e-6)
+	g := New(matern(0.3), 1e-6)
 	if err := g.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +169,7 @@ func TestInterpolatesTrainingPoints(t *testing.T) {
 func TestUncertaintyGrowsAwayFromData(t *testing.T) {
 	x := [][]float64{{0.4}, {0.5}, {0.6}}
 	y := []float64{1, 1.2, 1.1}
-	g := New(Matern52{LengthScales: []float64{0.15}, Variance: 1}, 1e-6)
+	g := New(matern(0.15), 1e-6)
 	if err := g.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +189,7 @@ func TestPredictRecoversSmoothFunction(t *testing.T) {
 		xs = append(xs, []float64{x})
 		ys = append(ys, f(x))
 	}
-	g, err := FitMLE("matern52", xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := fitPool(t, "matern52", xs, ys, 0)
 	for _, x := range []float64{0.13, 0.37, 0.61, 0.88} {
 		mean, _, err := g.Predict([]float64{x})
 		if err != nil {
@@ -170,11 +213,8 @@ func TestFitMLEPrefersBetterLengthScale(t *testing.T) {
 		xs = append(xs, []float64{x})
 		ys = append(ys, math.Sin(12*x))
 	}
-	best, err := FitMLE("matern52", xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	long := New(Matern52{LengthScales: []float64{1.0}, Variance: 1}, 1e-2)
+	best := fitPool(t, "matern52", xs, ys, 0)
+	long := New(matern(1.0), 1e-2)
 	if err := long.Fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}
@@ -188,10 +228,7 @@ func TestFitMLEPrefersBetterLengthScale(t *testing.T) {
 func TestFitMLEWorksWithConstantTargets(t *testing.T) {
 	xs := [][]float64{{0}, {0.5}, {1}}
 	ys := []float64{2, 2, 2}
-	g, err := FitMLE("matern52", xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := fitPool(t, "matern52", xs, ys, 0)
 	mean, _, err := g.Predict([]float64{0.25})
 	if err != nil {
 		t.Fatal(err)
@@ -223,10 +260,7 @@ func TestMultiDimensionalFit(t *testing.T) {
 		xs = append(xs, x)
 		ys = append(ys, f(x))
 	}
-	g, err := FitMLE("matern52", xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := fitPool(t, "matern52", xs, ys, 0)
 	center := []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
 	corner := []float64{0, 0, 0, 0, 0, 0}
 	mc, _, _ := g.Predict(center)
@@ -237,7 +271,7 @@ func TestMultiDimensionalFit(t *testing.T) {
 }
 
 func TestNReportsSampleCount(t *testing.T) {
-	g := New(Matern52{LengthScales: []float64{0.3}, Variance: 1}, 1e-4)
+	g := New(matern(0.3), 1e-4)
 	if g.N() != 0 {
 		t.Error("fresh GP should have 0 samples")
 	}
@@ -253,7 +287,7 @@ func TestDuplicatePointsDoNotBreakFit(t *testing.T) {
 	// Clustered/duplicate samples are routine in BO; jitter must cope.
 	xs := [][]float64{{0.5}, {0.5}, {0.5}, {0.51}}
 	ys := []float64{1, 1.01, 0.99, 1.02}
-	g := New(Matern52{LengthScales: []float64{0.3}, Variance: 1}, 1e-6)
+	g := New(matern(0.3), 1e-6)
 	if err := g.Fit(xs, ys); err != nil {
 		t.Fatalf("duplicate points should be survivable: %v", err)
 	}

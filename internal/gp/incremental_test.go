@@ -122,25 +122,19 @@ func TestAppendSurvivesDuplicatePoint(t *testing.T) {
 	}
 }
 
-// TestFitMLEParallelIsByteIdentical runs the hyperparameter grid with
-// 1 and 8 workers and demands the selected model agree byte-for-byte
-// (kernel, noise, and posterior at probes).
+// TestFitMLEParallelIsByteIdentical conditions the hyperparameter pool
+// with 1 and 8 workers and demands the selected model agree
+// byte-for-byte (kernel, noise, and posterior at probes).
 func TestFitMLEParallelIsByteIdentical(t *testing.T) {
 	rng := stats.NewRNG(9)
 	for trial := 0; trial < 10; trial++ {
 		n := 10 + rng.Intn(25)
 		dim := 2 + rng.Intn(10)
 		xs, ys := randomSet(rng, n, dim)
-		seq, err := FitMLEWorkers("matern52", xs, ys, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parM, err := FitMLEWorkers("matern52", xs, ys, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.noise != parM.noise {
-			t.Fatalf("selected noise diverged: %v vs %v", seq.noise, parM.noise)
+		seq := fitPool(t, "matern52", xs, ys, 1)
+		parM := fitPool(t, "matern52", xs, ys, 8)
+		if seq.kernel != parM.kernel || seq.noise != parM.noise {
+			t.Fatalf("selected hyperparameters diverged: %+v/%v vs %+v/%v", seq.kernel, seq.noise, parM.kernel, parM.noise)
 		}
 		for probe := 0; probe < 8; probe++ {
 			x := make([]float64, dim)
@@ -150,14 +144,15 @@ func TestFitMLEParallelIsByteIdentical(t *testing.T) {
 			sm, ss, _ := seq.Predict(x)
 			pm, ps, _ := parM.Predict(x)
 			if sm != pm || ss != ps {
-				t.Fatalf("posterior diverged under parallel FitMLE: (%v,%v) vs (%v,%v)", sm, ss, pm, ps)
+				t.Fatalf("posterior diverged under a parallel pool: (%v,%v) vs (%v,%v)", sm, ss, pm, ps)
 			}
 		}
 	}
 }
 
-// TestPoolMatchesFitMLE grows a pool sample by sample and checks Best
-// tracks what a from-scratch FitMLE would select on every prefix.
+// TestPoolMatchesFitMLE grows a pool sample by sample with Observe and
+// checks Best tracks what a freshly Conditioned pool selects on every
+// prefix: the same hyperparameters and the same posterior.
 func TestPoolMatchesFitMLE(t *testing.T) {
 	rng := stats.NewRNG(21)
 	n, dim := 28, 8
@@ -179,12 +174,9 @@ func TestPoolMatchesFitMLE(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := FitMLEWorkers("matern52", xs[:i+1], ys[:i+1], 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inc.noise != ref.noise {
-			t.Fatalf("n=%d: pool selected noise %v, FitMLE %v", i+1, inc.noise, ref.noise)
+		ref := fitPool(t, "matern52", xs[:i+1], ys[:i+1], 1)
+		if inc.kernel != ref.kernel || inc.noise != ref.noise {
+			t.Fatalf("n=%d: grown pool selected %+v/%v, fresh pool %+v/%v", i+1, inc.kernel, inc.noise, ref.kernel, ref.noise)
 		}
 		for d := range probe {
 			probe[d] = rng.Float64()
@@ -205,10 +197,7 @@ func TestPoolMatchesFitMLE(t *testing.T) {
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	rng := stats.NewRNG(33)
 	xs, ys := randomSet(rng, 20, 6)
-	model, err := FitMLE("matern52", xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := fitPool(t, "matern52", xs, ys, 0)
 	probes := make([][]float64, 50)
 	for i := range probes {
 		probes[i] = make([]float64, 6)

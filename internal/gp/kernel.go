@@ -12,117 +12,63 @@ import (
 	"math"
 )
 
-// Kernel is a positive-definite covariance function over input vectors.
-type Kernel interface {
-	// Eval returns k(a, b).
-	Eval(a, b []float64) float64
-	// Name identifies the kernel family for logs and ablation tables.
-	Name() string
+// Kernel is the surrogate's stationary covariance function: a family,
+// one length scale shared by every input dimension (inputs are
+// normalized to [0,1] per dimension, so one scale fits them all), and
+// a signal variance σ². The families are
+//
+//   - "matern52", the Matérn kernel with ν = 5/2:
+//     k(r) = σ²·(1 + √5·r + 5r²/3)·exp(−√5·r). It yields twice-
+//     differentiable sample paths — smooth enough to optimize over but
+//     without the RBF's unrealistic infinite smoothness, which is why
+//     the paper chooses it for resource-partitioning surfaces;
+//   - "rbf", the squared exponential k(r) = σ²·exp(−r²/2), an ablation
+//     comparator.
+//
+// Build one with KernelByName.
+type Kernel struct {
+	family      string
+	lengthScale float64
+	// variance is σ² and also k(x, x) exactly: every per-dimension
+	// difference is (x_i − x_i)/l = +0, so r = Sqrt(+0) = +0, both
+	// families' distance terms collapse to exactly 1, and multiplying
+	// σ² by 1 is exact. The GP reads it directly instead of evaluating
+	// the kernel at zero distance.
+	variance float64
 }
 
-// scaledDistance returns the ARD-scaled Euclidean distance between a
-// and b with per-dimension length scales; a single length scale is
-// broadcast to all dimensions.
-func scaledDistance(a, b, lengthScales []float64) float64 {
-	var sum float64
-	for i := range a {
-		l := lengthScales[0]
-		if len(lengthScales) > 1 {
-			l = lengthScales[i]
-		}
-		d := (a[i] - b[i]) / l
-		sum += d * d
+// KernelByName builds a kernel of the named family ("matern52", the
+// default when name is empty, or "rbf") with the given length scale
+// and signal variance.
+func KernelByName(name string, lengthScale, variance float64) (Kernel, error) {
+	switch name {
+	case "matern52", "":
+		return Kernel{family: "matern52", lengthScale: lengthScale, variance: variance}, nil
+	case "rbf":
+		return Kernel{family: "rbf", lengthScale: lengthScale, variance: variance}, nil
+	default:
+		return Kernel{}, fmt.Errorf("gp: unknown kernel %q", name)
 	}
-	return math.Sqrt(sum)
 }
 
-// Matern52 is the Matérn covariance with ν = 5/2:
-// k(r) = σ²·(1 + √5·r + 5r²/3)·exp(−√5·r). It yields twice-
-// differentiable sample paths — smooth enough to optimize over but
-// without the unrealistic infinite smoothness of the RBF, which is why
-// the paper chooses it for resource-partitioning surfaces.
-type Matern52 struct {
-	LengthScales []float64 // one per dimension, or a single shared scale
-	Variance     float64   // σ², the signal variance
-}
-
-// Eval implements Kernel.
-func (k Matern52) Eval(a, b []float64) float64 {
-	r := scaledDistance(a, b, k.LengthScales)
-	s5r := math.Sqrt(5) * r
-	return k.Variance * (1 + s5r + 5*r*r/3) * math.Exp(-s5r)
-}
-
-// Name implements Kernel.
-func (k Matern52) Name() string { return "matern52" }
-
-// RBF is the squared-exponential kernel, used as an ablation
-// comparator: k(r) = σ²·exp(−r²/2).
-type RBF struct {
-	LengthScales []float64
-	Variance     float64
-}
-
-// Eval implements Kernel.
-func (k RBF) Eval(a, b []float64) float64 {
-	r := scaledDistance(a, b, k.LengthScales)
-	return k.Variance * math.Exp(-r*r/2)
-}
-
-// Name implements Kernel.
-func (k RBF) Name() string { return "rbf" }
-
-// kStarInto fills out[i] = k(xs[i], x) for every row, hoisting the
-// kernel's interface dispatch and the per-element broadcast branch of
-// scaledDistance out of the loop. The specialized single-length-scale
-// bodies perform the identical per-element operations as Eval (same
-// subtraction, division, and accumulation order), so the results are
-// bit-equal to calling Eval per row — they are a dispatch optimization,
-// not a reformulation.
-func kStarInto(k Kernel, xs [][]float64, x []float64, out []float64) {
-	switch kk := k.(type) {
-	case Matern52:
-		if len(kk.LengthScales) == 1 {
-			l, v := kk.LengthScales[0], kk.Variance
-			for i, xi := range xs {
-				out[i] = matern52Single(xi, x, l, v)
-			}
-			return
+// rowInto fills out[i] = k(xs[i], x) for every row, resolving the
+// family once per call instead of once per row.
+func (k Kernel) rowInto(xs [][]float64, x []float64, out []float64) {
+	l, v := k.lengthScale, k.variance
+	if k.family == "rbf" {
+		for i, xi := range xs {
+			out[i] = rbf(xi, x, l, v)
 		}
-	case RBF:
-		if len(kk.LengthScales) == 1 {
-			l, v := kk.LengthScales[0], kk.Variance
-			for i, xi := range xs {
-				out[i] = rbfSingle(xi, x, l, v)
-			}
-			return
-		}
+		return
 	}
 	for i, xi := range xs {
-		out[i] = k.Eval(xi, x)
+		out[i] = matern52(xi, x, l, v)
 	}
 }
 
-// kernelSelf returns k(x, x), short-circuiting the stationary families
-// to their signal variance. This is bit-equal to Eval(x, x): every
-// per-dimension difference is (x_i − x_i)/l = +0, so the distance is
-// Sqrt(+0) = +0, every distance polynomial collapses to exactly 1,
-// Exp(−0) = 1 exactly, and multiplying the variance by 1 is an exact
-// identity — the shortcut removes work, not precision.
-func kernelSelf(k Kernel, x []float64) float64 {
-	switch kk := k.(type) {
-	case Matern52:
-		return kk.Variance
-	case RBF:
-		return kk.Variance
-	}
-	return k.Eval(x, x)
-}
-
-// distSingle is scaledDistance specialized to one shared length scale;
-// the loop body is operation-for-operation the generic one with the
-// broadcast branch resolved.
-func distSingle(a, b []float64, l float64) float64 {
+// dist is the Euclidean distance between a and b in units of the
+// length scale l.
+func dist(a, b []float64, l float64) float64 {
 	var sum float64
 	for i := range a {
 		d := (a[i] - b[i]) / l
@@ -131,26 +77,13 @@ func distSingle(a, b []float64, l float64) float64 {
 	return math.Sqrt(sum)
 }
 
-func matern52Single(a, b []float64, l, variance float64) float64 {
-	r := distSingle(a, b, l)
+func matern52(a, b []float64, l, variance float64) float64 {
+	r := dist(a, b, l)
 	s5r := math.Sqrt(5) * r
 	return variance * (1 + s5r + 5*r*r/3) * math.Exp(-s5r)
 }
 
-func rbfSingle(a, b []float64, l, variance float64) float64 {
-	r := distSingle(a, b, l)
+func rbf(a, b []float64, l, variance float64) float64 {
+	r := dist(a, b, l)
 	return variance * math.Exp(-r*r/2)
-}
-
-// KernelByName constructs a kernel family with the given length scale,
-// for configuration surfaces ("matern52" or "rbf").
-func KernelByName(name string, lengthScale, variance float64) (Kernel, error) {
-	switch name {
-	case "matern52", "":
-		return Matern52{LengthScales: []float64{lengthScale}, Variance: variance}, nil
-	case "rbf":
-		return RBF{LengthScales: []float64{lengthScale}, Variance: variance}, nil
-	default:
-		return nil, fmt.Errorf("gp: unknown kernel %q", name)
-	}
 }

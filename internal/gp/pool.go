@@ -7,19 +7,37 @@ import (
 	"clite/internal/par"
 )
 
-// Pool maintains one incrementally-conditioned GP per hyperparameter
-// grid point so that per-iteration model selection stays exact while
-// the per-iteration cost drops from O(grid·n³) (refit everything,
-// what FitMLE does) to O(grid·n²) (extend every factor by one row).
-// This is the BO engine's steady-state surrogate path: CLITE adds
-// exactly one observation per window, so refitting from scratch
-// re-derives n−1 rows of every Cholesky factor it already had.
+// hyperGrid is the length-scale × noise grid a Pool searches. Inputs
+// are normalized to [0,1] per dimension (the BO engine guarantees
+// this), which is what makes a fixed grid broadly applicable and keeps
+// CLITE free of per-job-mix tuning. The grid tops out at 0.6: a unit
+// length scale declares the whole space "as good as sampled",
+// collapsing posterior variance and killing acquisition-driven
+// exploration in the early iterations.
+var hyperGrid = func() []struct{ LengthScale, Noise float64 } {
+	lengthScales := []float64{0.1, 0.2, 0.35, 0.6}
+	noises := []float64{1e-4, 1e-3, 1e-2}
+	grid := make([]struct{ LengthScale, Noise float64 }, 0, len(lengthScales)*len(noises))
+	for _, l := range lengthScales {
+		for _, nz := range noises {
+			grid = append(grid, struct{ LengthScale, Noise float64 }{l, nz})
+		}
+	}
+	return grid
+}()
+
+// Pool is the hyperparameter-grid fit: one GP per grid point, with
+// Best selecting the highest log marginal likelihood. Condition fits
+// every model from scratch (O(grid·n³)); Observe extends every
+// retained factor by one row (O(grid·n²)) and leaves selection exact.
+// Observe is the BO engine's steady-state surrogate path: CLITE adds
+// exactly one observation per window, so refitting from scratch would
+// re-derive n−1 rows of every Cholesky factor it already had.
 //
-// Observe fans the per-model appends out over a bounded worker pool;
-// Best selects by log marginal likelihood with a grid-order argmax,
-// so results are byte-identical whatever the worker count.
+// Both fan the per-model work out over a bounded worker pool; Best is
+// a grid-order argmax, so results are byte-identical whatever the
+// worker count.
 type Pool struct {
-	family  string
 	workers int
 	models  []*GP
 	lmls    []float64
@@ -27,15 +45,11 @@ type Pool struct {
 	n       int
 }
 
-// NewPool returns an empty pool over the FitMLE hyperparameter grid
-// for the kernel family. workers bounds the per-update fan-out
-// (0 means NumCPU, 1 forces sequential).
+// NewPool returns an empty pool over the hyperparameter grid for the
+// kernel family. workers bounds the per-update fan-out (0 means
+// NumCPU, 1 forces sequential).
 func NewPool(family string, workers int) (*Pool, error) {
-	if _, err := KernelByName(family, 1, 1); err != nil {
-		return nil, err
-	}
 	p := &Pool{
-		family:  family,
 		workers: workers,
 		models:  make([]*GP, len(hyperGrid)),
 		lmls:    make([]float64, len(hyperGrid)),
@@ -108,9 +122,9 @@ func (p *Pool) firstUsable() error {
 }
 
 // Best returns the conditioned model with the highest log marginal
-// likelihood, resolving ties by grid order (the same rule as FitMLE,
-// so a pool grown sample by sample selects the same model a fresh
-// FitMLE over the full set would).
+// likelihood, resolving ties by grid order, so a pool grown sample by
+// sample selects the same model a freshly Conditioned pool over the
+// full set would.
 func (p *Pool) Best() (*GP, error) {
 	var best *GP
 	bestLML := math.Inf(-1)

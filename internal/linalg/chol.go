@@ -1,19 +1,24 @@
 package linalg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
+
+// ErrNotPositiveDefinite is returned when a Cholesky factorization
+// encounters a non-positive pivot even after jitter.
+var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
 
 // Chol is a growable lower-triangular Cholesky factor in packed
 // row-major storage: row i holds its i+1 entries at offset i·(i+1)/2.
 // Packing is what makes the factor growable — appending a row is a
 // single amortized slice append, so conditioning a GP on one more
 // sample costs the O(n²) forward substitution of AppendRow instead of
-// the O(n³) refactorization a dense refit pays.
+// the O(n³) refactorization a full refit pays.
 //
-// The arithmetic (loop order, operation order) deliberately mirrors
-// the dense Cholesky in matrix.go, so a factor grown row by row is
+// AppendRow and the reference factorization (factorScalar) share one
+// loop and operation order, so a factor grown row by row is
 // byte-identical to one factored from scratch with the same jitter.
 type Chol struct {
 	n    int
@@ -38,35 +43,19 @@ func (c *Chol) Row(i int) []float64 {
 // At returns L(i, j) for j ≤ i.
 func (c *Chol) At(i, j int) float64 { return c.data[i*(i+1)/2+j] }
 
-// Clone returns a deep copy.
-func (c *Chol) Clone() *Chol {
-	return &Chol{n: c.n, data: append([]float64(nil), c.data...)}
-}
-
 // Reset empties the factor, keeping its storage for reuse.
 func (c *Chol) Reset() {
 	c.n = 0
 	c.data = c.data[:0]
 }
 
-// CholeskyPacked factors a symmetric positive-definite matrix into a
-// packed lower-triangular factor, retrying with progressively larger
-// diagonal jitter exactly like Cholesky. It returns the factor and
-// the jitter applied; callers that later AppendRow must add the same
-// jitter to appended diagonal entries to stay consistent.
-func CholeskyPacked(a *Matrix, maxJitter float64) (*Chol, float64, error) {
-	c := NewChol(a.Rows)
-	jitter, err := c.Factor(a, maxJitter)
-	if err != nil {
-		return nil, jitter, err
-	}
-	return c, jitter, nil
-}
-
-// Factor (re)factors a+jitter·I into the receiver with the same
-// jitter ladder as CholeskyPacked, reusing the receiver's storage —
-// the allocation-free form for callers that refactor repeatedly (the
-// GP hyperparameter pool). It returns the jitter applied; on failure
+// Factor (re)factors the symmetric positive-definite matrix a into the
+// receiver, reusing its storage. If the factorization stalls on a
+// non-positive pivot it retries with progressively larger diagonal
+// jitter (up to maxJitter), the standard way to keep GP kernel
+// matrices factorizable as sample points cluster together. It returns
+// the jitter applied — callers that later AppendRow must add the same
+// jitter to appended diagonal entries to stay consistent; on failure
 // the receiver is left empty.
 func (c *Chol) Factor(a *Matrix, maxJitter float64) (float64, error) {
 	if a.Rows != a.Cols {
@@ -100,12 +89,11 @@ const cholBlockThreshold = 48
 // L1 while amortizing loop overhead.
 const cholBlock = 32
 
-// factorInto (re)factors a+jitter·I into c, reporting success. The
-// computation matches choleskyOnce term for term: above the size
-// threshold the blocked form is used, which reorders the schedule
-// across elements but keeps every element's own operation chain
-// identical, so the result is bit-equal to the scalar path (see the
-// FuzzBlockedCholVsScalar invariant).
+// factorInto (re)factors a+jitter·I into c, reporting success. Above
+// the size threshold the blocked form is used, which reorders the
+// schedule across elements but keeps every element's own operation
+// chain identical, so the result is bit-equal to the scalar path (see
+// the FuzzBlockedCholVsScalar invariant).
 func (c *Chol) factorInto(a *Matrix, jitter float64) bool {
 	if a.Rows >= cholBlockThreshold {
 		return c.factorBlocked(a, jitter)

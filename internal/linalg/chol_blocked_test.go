@@ -73,7 +73,8 @@ func TestBlockedCholReusesStorage(t *testing.T) {
 func TestBlockedCholNonSPDFallsBackToJitter(t *testing.T) {
 	n := cholBlockThreshold + 2
 	a := NewMatrix(n, n) // all-zero: not PD, factorable with jitter
-	blocked, jb, err := CholeskyPacked(a, 1e-2)
+	blocked := NewChol(n)
+	jb, err := blocked.Factor(a, 1e-2)
 	if err != nil {
 		t.Fatalf("jittered factorization failed: %v", err)
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// randomSPD builds a random symmetric positive-definite n×n matrix
+// randomSPDRidge builds a random symmetric positive-definite n×n matrix
 // A = BᵀB + ridge·I.
 func randomSPDRidge(rng *rand.Rand, n int, ridge float64) *Matrix {
 	b := NewMatrix(n, n)
@@ -25,34 +25,6 @@ func randomSPDRidge(rng *rand.Rand, n int, ridge float64) *Matrix {
 		a.Set(i, i, a.At(i, i)+ridge)
 	}
 	return a
-}
-
-// TestCholeskyPackedMatchesDense asserts the packed factorization is
-// byte-identical to the dense one (same arithmetic, same jitter).
-func TestCholeskyPackedMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		n := 1 + rng.Intn(30)
-		a := randomSPDRidge(rng, n, 0.5)
-		dense, jd, err := Cholesky(a, 1e-2)
-		if err != nil {
-			t.Fatalf("dense Cholesky: %v", err)
-		}
-		packed, jp, err := CholeskyPacked(a, 1e-2)
-		if err != nil {
-			t.Fatalf("packed Cholesky: %v", err)
-		}
-		if jd != jp {
-			t.Fatalf("jitter diverged: dense %g packed %g", jd, jp)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j <= i; j++ {
-				if dense.At(i, j) != packed.At(i, j) {
-					t.Fatalf("n=%d L(%d,%d): dense %v packed %v", n, i, j, dense.At(i, j), packed.At(i, j))
-				}
-			}
-		}
-	}
 }
 
 // TestAppendRowMatchesRefactorization grows a factor row by row and
@@ -77,8 +49,8 @@ func TestAppendRowMatchesRefactorization(t *testing.T) {
 				sub.Set(i, j, a.At(i, j))
 			}
 		}
-		fresh, _, err := CholeskyPacked(sub, 0)
-		if err != nil {
+		fresh := NewChol(m)
+		if _, err := fresh.Factor(sub, 0); err != nil {
 			t.Fatalf("fresh factor at m=%d: %v", m, err)
 		}
 		for i := 0; i < m; i++ {
@@ -99,8 +71,8 @@ func TestAppendRowRejectsNonPositivePivot(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, 2)
-	c, _, err := CholeskyPacked(a, 0)
-	if err != nil {
+	c := NewChol(2)
+	if _, err := c.Factor(a, 0); err != nil {
 		t.Fatal(err)
 	}
 	// New point identical to row 0 but with its self-covariance
@@ -118,55 +90,6 @@ func TestAppendRowRejectsNonPositivePivot(t *testing.T) {
 	for i, want := range []float64{1, 1} {
 		if math.Abs(x[i]-want) > 1e-12 {
 			t.Fatalf("solve after rejected append: x=%v", x)
-		}
-	}
-}
-
-// TestPackedSolvesMatchDense compares the packed in-place solves and
-// LogDet against the existing dense routines.
-func TestPackedSolvesMatchDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 25; trial++ {
-		n := 1 + rng.Intn(20)
-		a := randomSPDRidge(rng, n, 0.5)
-		dense, _, err := Cholesky(a, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		packed, _, err := CholeskyPacked(a, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-
-		wantLower := SolveLower(dense, b)
-		gotLower := make([]float64, n)
-		packed.SolveLowerInto(b, gotLower)
-		wantFull := CholeskySolve(dense, b)
-		gotFull := make([]float64, n)
-		packed.SolveInto(b, gotFull)
-		for i := 0; i < n; i++ {
-			if wantLower[i] != gotLower[i] {
-				t.Fatalf("SolveLowerInto[%d]: want %v got %v", i, wantLower[i], gotLower[i])
-			}
-			if wantFull[i] != gotFull[i] {
-				t.Fatalf("SolveInto[%d]: want %v got %v", i, wantFull[i], gotFull[i])
-			}
-		}
-		if want, got := LogDetFromCholesky(dense), packed.LogDet(); want != got {
-			t.Fatalf("LogDet: want %v got %v", want, got)
-		}
-
-		// Aliasing: solving in place over b must give the same answer.
-		alias := append([]float64(nil), b...)
-		packed.SolveInto(alias, alias)
-		for i := 0; i < n; i++ {
-			if alias[i] != gotFull[i] {
-				t.Fatalf("aliased SolveInto[%d]: want %v got %v", i, gotFull[i], alias[i])
-			}
 		}
 	}
 }

@@ -25,7 +25,8 @@ func FuzzCholAppendVsRefit(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomSPDRidge(rng, n, ridge)
 
-		fresh, jitter, err := CholeskyPacked(a, 1e-2)
+		fresh := NewChol(n)
+		jitter, err := fresh.Factor(a, 1e-2)
 		if err != nil {
 			t.Skip("matrix not factorable even with jitter")
 		}

@@ -1,19 +1,12 @@
 // Package linalg implements the dense linear algebra the
-// Gaussian-process surrogate needs: matrices, Cholesky factorization,
-// and triangular solves. It is deliberately small — the GP never holds
-// more than a few hundred samples, so cache-oblivious O(n³) kernels
-// with contiguous row-major storage are plenty.
+// Gaussian-process surrogate and DOE's ridge regression need: a
+// row-major matrix and one packed, growable Cholesky factor (Chol)
+// with its triangular solves. It is deliberately small — the GP never
+// holds more than a few hundred samples, so O(n³) kernels over
+// contiguous storage are plenty.
 package linalg
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
-
-// ErrNotPositiveDefinite is returned when a Cholesky factorization
-// encounters a non-positive pivot even after jitter.
-var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
+import "fmt"
 
 // Matrix is a dense row-major matrix.
 type Matrix struct {
@@ -56,30 +49,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// MulVec computes y = M·x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("linalg: MulVec dimension mismatch %d vs %d", len(x), m.Cols))
-	}
-	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var sum float64
-		for j, v := range row {
-			sum += v * x[j]
-		}
-		y[i] = sum
-	}
-	return y
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -90,111 +59,4 @@ func Dot(a, b []float64) float64 {
 		sum += a[i] * b[i]
 	}
 	return sum
-}
-
-// Cholesky computes the lower-triangular factor L with A = L·Lᵀ for a
-// symmetric positive-definite matrix A. If the factorization stalls on
-// a non-positive pivot it retries with progressively larger diagonal
-// jitter (up to maxJitter), which is the standard way to keep GP
-// kernel matrices factorizable as sample points cluster together.
-// It returns the factor and the jitter actually applied.
-func Cholesky(a *Matrix, maxJitter float64) (*Matrix, float64, error) {
-	if a.Rows != a.Cols {
-		return nil, 0, fmt.Errorf("linalg: Cholesky needs a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	jitter := 0.0
-	for attempt := 0; attempt < 8; attempt++ {
-		l, err := choleskyOnce(a, jitter)
-		if err == nil {
-			return l, jitter, nil
-		}
-		//lint:allow floateq jitter is an exact sentinel: assigned only the literal 0 or discrete *100 steps, never computed
-		if jitter == 0 {
-			jitter = 1e-10
-		} else {
-			jitter *= 100
-		}
-		if jitter > maxJitter {
-			break
-		}
-	}
-	return nil, jitter, ErrNotPositiveDefinite
-}
-
-func choleskyOnce(a *Matrix, jitter float64) (*Matrix, error) {
-	n := a.Rows
-	l := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			if i == j {
-				sum += jitter
-			}
-			li, lj := l.Row(i), l.Row(j)
-			for k := 0; k < j; k++ {
-				sum -= li[k] * lj[k]
-			}
-			if i == j {
-				if sum <= 0 || math.IsNaN(sum) {
-					return nil, ErrNotPositiveDefinite
-				}
-				l.Set(i, j, math.Sqrt(sum))
-			} else {
-				l.Set(i, j, sum/l.At(j, j))
-			}
-		}
-	}
-	return l, nil
-}
-
-// SolveLower solves L·x = b for lower-triangular L by forward
-// substitution.
-func SolveLower(l *Matrix, b []float64) []float64 {
-	n := l.Rows
-	if len(b) != n {
-		panic(fmt.Sprintf("linalg: SolveLower dimension mismatch %d vs %d", len(b), n))
-	}
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := b[i]
-		row := l.Row(i)
-		for k := 0; k < i; k++ {
-			sum -= row[k] * x[k]
-		}
-		x[i] = sum / row[i]
-	}
-	return x
-}
-
-// SolveUpperT solves Lᵀ·x = b for lower-triangular L by backward
-// substitution (L is stored, its transpose is implied).
-func SolveUpperT(l *Matrix, b []float64) []float64 {
-	n := l.Rows
-	if len(b) != n {
-		panic(fmt.Sprintf("linalg: SolveUpperT dimension mismatch %d vs %d", len(b), n))
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		sum := b[i]
-		for k := i + 1; k < n; k++ {
-			sum -= l.At(k, i) * x[k]
-		}
-		x[i] = sum / l.At(i, i)
-	}
-	return x
-}
-
-// CholeskySolve solves A·x = b given the Cholesky factor L of A.
-func CholeskySolve(l *Matrix, b []float64) []float64 {
-	return SolveUpperT(l, SolveLower(l, b))
-}
-
-// LogDetFromCholesky returns log|A| = 2·Σ log L(i,i) given the
-// Cholesky factor L of A.
-func LogDetFromCholesky(l *Matrix) float64 {
-	var sum float64
-	for i := 0; i < l.Rows; i++ {
-		sum += math.Log(l.At(i, i))
-	}
-	return 2 * sum
 }

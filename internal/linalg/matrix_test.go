@@ -17,20 +17,6 @@ func TestMatrixAccessors(t *testing.T) {
 	if got := m.Row(1); got[2] != 7 {
 		t.Errorf("Row(1)[2] = %v, want 7", got[2])
 	}
-	c := m.Clone()
-	c.Set(0, 0, 9)
-	if m.At(0, 0) == 9 {
-		t.Error("Clone should not alias the original")
-	}
-}
-
-func TestMulVec(t *testing.T) {
-	m := NewMatrix(2, 3)
-	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
-	y := m.MulVec([]float64{1, 0, -1})
-	if y[0] != -2 || y[1] != -2 {
-		t.Errorf("MulVec = %v, want [-2 -2]", y)
-	}
 }
 
 func TestDot(t *testing.T) {
@@ -39,22 +25,38 @@ func TestDot(t *testing.T) {
 	}
 }
 
-func TestCholeskyKnown(t *testing.T) {
-	// A = [[4,12,-16],[12,37,-43],[-16,-43,98]] has the classic factor
-	// L = [[2,0,0],[6,1,0],[-8,5,3]].
+// mulVec returns A·x, the right-hand side a solve round trip inverts.
+func mulVec(a *Matrix, x []float64) []float64 {
+	y := make([]float64, a.Rows)
+	for i := range y {
+		y[i] = Dot(a.Row(i), x)
+	}
+	return y
+}
+
+// classic3x3 is A = [[4,12,-16],[12,37,-43],[-16,-43,98]], whose
+// Cholesky factor is L = [[2,0,0],[6,1,0],[-8,5,3]].
+func classic3x3() *Matrix {
 	a := NewMatrix(3, 3)
 	copy(a.Data, []float64{4, 12, -16, 12, 37, -43, -16, -43, 98})
-	l, jitter, err := Cholesky(a, 1e-3)
+	return a
+}
+
+func TestCholeskyKnown(t *testing.T) {
+	c := NewChol(3)
+	jitter, err := c.Factor(classic3x3(), 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if jitter != 0 {
 		t.Errorf("unexpected jitter %v", jitter)
 	}
-	want := []float64{2, 0, 0, 6, 1, 0, -8, 5, 3}
-	for i, w := range want {
-		if math.Abs(l.Data[i]-w) > 1e-9 {
-			t.Fatalf("L = %v, want %v", l.Data, want)
+	want := [][]float64{{2}, {6, 1}, {-8, 5, 3}}
+	for i, row := range want {
+		for j, w := range row {
+			if math.Abs(c.At(i, j)-w) > 1e-9 {
+				t.Fatalf("L(%d,%d) = %v, want %v", i, j, c.At(i, j), w)
+			}
 		}
 	}
 }
@@ -62,8 +64,12 @@ func TestCholeskyKnown(t *testing.T) {
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := NewMatrix(2, 2)
 	copy(a.Data, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
-	if _, _, err := Cholesky(a, 1e-8); err == nil {
-		t.Error("expected failure for indefinite matrix")
+	c := NewChol(2)
+	if _, err := c.Factor(a, 1e-8); err != ErrNotPositiveDefinite {
+		t.Errorf("want ErrNotPositiveDefinite for an indefinite matrix, got %v", err)
+	}
+	if c.N() != 0 {
+		t.Errorf("a failed factorization should leave the factor empty, n=%d", c.N())
 	}
 }
 
@@ -71,37 +77,37 @@ func TestCholeskyJitterRecoversSingular(t *testing.T) {
 	// Rank-1 matrix: needs jitter to factor.
 	a := NewMatrix(2, 2)
 	copy(a.Data, []float64{1, 1, 1, 1})
-	l, jitter, err := Cholesky(a, 1e-2)
+	c := NewChol(2)
+	jitter, err := c.Factor(a, 1e-2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if jitter <= 0 {
 		t.Error("expected positive jitter")
 	}
-	if l.At(0, 0) <= 0 {
+	if c.At(0, 0) <= 0 || c.At(1, 1) <= 0 {
 		t.Error("invalid factor")
 	}
 }
 
 func TestCholeskyNonSquare(t *testing.T) {
-	if _, _, err := Cholesky(NewMatrix(2, 3), 1); err == nil {
+	if _, err := NewChol(0).Factor(NewMatrix(2, 3), 1); err == nil {
 		t.Error("expected error for non-square input")
 	}
 }
 
 func TestSolveRoundTrip(t *testing.T) {
-	a := NewMatrix(3, 3)
-	copy(a.Data, []float64{4, 12, -16, 12, 37, -43, -16, -43, 98})
-	l, _, err := Cholesky(a, 1e-6)
-	if err != nil {
+	a := classic3x3()
+	c := NewChol(3)
+	if _, err := c.Factor(a, 1e-6); err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{1, -2, 0.5}
-	b := a.MulVec(want)
-	got := CholeskySolve(l, b)
+	got := make([]float64, 3)
+	c.SolveInto(mulVec(a, want), got)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("CholeskySolve = %v, want %v", got, want)
+			t.Fatalf("SolveInto = %v, want %v", got, want)
 		}
 	}
 }
@@ -109,11 +115,11 @@ func TestSolveRoundTrip(t *testing.T) {
 func TestLogDetFromCholesky(t *testing.T) {
 	a := NewMatrix(2, 2)
 	copy(a.Data, []float64{2, 0, 0, 8}) // det = 16
-	l, _, err := Cholesky(a, 0)
-	if err != nil {
+	c := NewChol(2)
+	if _, err := c.Factor(a, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := LogDetFromCholesky(l); math.Abs(got-math.Log(16)) > 1e-12 {
+	if got := c.LogDet(); math.Abs(got-math.Log(16)) > 1e-12 {
 		t.Errorf("LogDet = %v, want log 16", got)
 	}
 }
@@ -147,18 +153,26 @@ func TestCholeskySolvePropertyRandomSPD(t *testing.T) {
 		n := 1 + int(sizeByte%12)
 		local := rng.Split(int64(seedByte)*13 + int64(sizeByte))
 		a := randomSPD(local, n)
-		l, _, err := Cholesky(a, 1e-4)
-		if err != nil {
+		c := NewChol(n)
+		if _, err := c.Factor(a, 1e-4); err != nil {
 			return false
 		}
 		x := make([]float64, n)
 		for i := range x {
 			x[i] = local.Normal(0, 2)
 		}
-		b := a.MulVec(x)
-		got := CholeskySolve(l, b)
+		b := mulVec(a, x)
+		got := make([]float64, n)
+		c.SolveInto(b, got)
 		for i := range x {
 			if math.Abs(got[i]-x[i]) > 1e-6 {
+				return false
+			}
+		}
+		// Solving in place over b must give the bit-identical answer.
+		c.SolveInto(b, b)
+		for i := range b {
+			if math.Float64bits(b[i]) != math.Float64bits(got[i]) {
 				return false
 			}
 		}
@@ -167,7 +181,7 @@ func TestCholeskySolvePropertyRandomSPD(t *testing.T) {
 			for j := 0; j < n; j++ {
 				var sum float64
 				for k := 0; k <= min(i, j); k++ {
-					sum += l.At(i, k) * l.At(j, k)
+					sum += c.At(i, k) * c.At(j, k)
 				}
 				if math.Abs(sum-a.At(i, j)) > 1e-6*(1+math.Abs(a.At(i, j))) {
 					return false
@@ -182,26 +196,28 @@ func TestCholeskySolvePropertyRandomSPD(t *testing.T) {
 }
 
 func TestTriangularSolves(t *testing.T) {
-	l := NewMatrix(3, 3)
-	copy(l.Data, []float64{2, 0, 0, 6, 1, 0, -8, 5, 3})
-	x := SolveLower(l, []float64{2, 7, 3})
+	// The packed rows of L = [[2,0,0],[6,1,0],[-8,5,3]].
+	c := &Chol{n: 3, data: []float64{2, 6, 1, -8, 5, 3}}
+	x := make([]float64, 3)
+	c.SolveLowerInto([]float64{2, 7, 3}, x)
 	// Forward substitution: x0=1, x1=7-6=1, x2=(3+8-5)/3=2.
 	want := []float64{1, 1, 2}
 	for i := range want {
 		if math.Abs(x[i]-want[i]) > 1e-12 {
-			t.Fatalf("SolveLower = %v, want %v", x, want)
+			t.Fatalf("SolveLowerInto = %v, want %v", x, want)
 		}
 	}
-	// SolveUpperT then satisfies Lᵀ·y = b.
+	// SolveUpperTInto then satisfies Lᵀ·y = b.
 	b := []float64{4, 5, 6}
-	y := SolveUpperT(l, b)
+	y := make([]float64, 3)
+	c.SolveUpperTInto(b, y)
 	for i := 0; i < 3; i++ {
 		var sum float64
-		for k := 0; k < 3; k++ {
-			sum += l.At(k, i) * y[k]
+		for k := i; k < 3; k++ {
+			sum += c.At(k, i) * y[k]
 		}
 		if math.Abs(sum-b[i]) > 1e-9 {
-			t.Fatalf("SolveUpperT residual at %d: %v", i, sum-b[i])
+			t.Fatalf("SolveUpperTInto residual at %d: %v", i, sum-b[i])
 		}
 	}
 }

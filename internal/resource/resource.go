@@ -145,6 +145,23 @@ func (t Topology) TotalUnits(r int) int { return t[r].Units }
 // constraint makes Njobs−1 of them free per resource).
 func (t Topology) Dims(nJobs int) int { return len(t) * nJobs }
 
+// NormalizeInto maps a job-major unit vector (Config.Vector's layout)
+// into the unit cube, dividing each entry by its resource's unit
+// count, and returns it in dst (grown when its capacity is short).
+// The GP surrogate's inputs, the resilient controller's neighbour
+// distances and DOE's response surface all use this one mapping.
+func (t Topology) NormalizeInto(dst, v []float64) []float64 {
+	if cap(dst) < len(v) {
+		dst = make([]float64, len(v))
+	}
+	dst = dst[:len(v)]
+	nres := len(t)
+	for i, x := range v {
+		dst[i] = x / float64(t[i%nres].Units)
+	}
+	return dst
+}
+
 // ConfigCount returns the total number of feasible partition
 // configurations for nJobs jobs, the paper's
 // Nconf = ∏_r C(Nunits(r)−1, Njobs−1). It saturates at MaxInt64 on

@@ -92,13 +92,15 @@ trace:
 # fuzzsmoke gives each native fuzz target a few seconds from its
 # seeded corpus: profile mix-key canonicalization (packed keys and
 # LookupNear against the string-keyed reference, Store round-trip), linalg Cholesky append-vs-refit
-# byte-identity, blocked-vs-scalar Cholesky byte-identity, the lint
-# //lint:allow directive grammar, the fact-cache codec round trip, and
-# the tsq trace reader on truncated and malformed JSONL.
+# byte-identity, blocked-vs-scalar Cholesky byte-identity, the GP's
+# closed-form posterior gradients against central differences, the
+# lint //lint:allow directive grammar, the fact-cache codec round
+# trip, and the tsq trace reader on truncated and malformed JSONL.
 fuzzsmoke:
 	go test -run '^$$' -fuzz FuzzMixKeyRoundTrip -fuzztime 5s ./internal/profile
 	go test -run '^$$' -fuzz FuzzCholAppendVsRefit -fuzztime 5s ./internal/linalg
 	go test -run '^$$' -fuzz FuzzBlockedCholVsScalar -fuzztime 5s ./internal/linalg
+	go test -run '^$$' -fuzz FuzzPosteriorGradient -fuzztime 5s ./internal/gp
 	go test -run '^$$' -fuzz FuzzDirectiveParse -fuzztime 5s ./internal/analysis
 	go test -run '^$$' -fuzz FuzzFactCacheRoundTrip -fuzztime 5s ./internal/analysis
 	go test -run '^$$' -fuzz FuzzLoad -fuzztime 5s ./internal/obs

@@ -199,7 +199,7 @@ func BenchmarkGPPredict(b *testing.B) {
 	var buf gp.PredictBuf
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := model.PredictBatch(probes, mean[:], std[:], &buf); err != nil {
+		if err := model.PredictBatch(probes, mean[:], std[:], nil, nil, &buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,14 +211,17 @@ func BenchmarkAcquisitionMaximize(b *testing.B) {
 	topo := resource.Default()
 	const nJobs = 3
 	target := resource.EqualSplit(topo, nJobs).Vector()
-	objective := optimize.PerRow(func(x []float64) float64 {
+	objective := func(x, grad []float64) float64 {
 		var s float64
 		for i := range x {
 			d := x[i] - target[i]
 			s -= d * d
+			if grad != nil {
+				grad[i] = -2 * d
+			}
 		}
 		return s
-	})
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		optimize.Maximize(optimize.Problem{

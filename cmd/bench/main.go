@@ -342,11 +342,15 @@ func runPerfTable(path, readmePath string) error {
 	rev = markDirty(rev, dirty)
 	fmt.Fprintf(&sb, "Measured at `%s` on %s/%s, %d CPUs (GOMAXPROCS %d).\n\n",
 		rev, doc.GoOS, doc.GoArch, doc.NumCPU, doc.GoMaxProcs)
-	sb.WriteString("| benchmark | time/op | B/op | allocs/op |\n")
+	sb.WriteString("| benchmark | time/op (min–max) | B/op | allocs/op |\n")
 	sb.WriteString("|---|---|---|---|\n")
 	for _, r := range doc.Benchmarks {
+		t := humanNs(r.NsPerOp)
+		if lo, hi := r.Extra["ns_per_op_min"], r.Extra["ns_per_op_max"]; hi > 0 {
+			t += fmt.Sprintf(" (%s–%s)", humanNs(lo), humanNs(hi))
+		}
 		fmt.Fprintf(&sb, "| `%s` | %s | %d | %d |\n",
-			r.Name, humanNs(r.NsPerOp), r.BytesPerOp, r.AllocsPerOp)
+			r.Name, t, r.BytesPerOp, r.AllocsPerOp)
 	}
 	table := sb.String()
 	if readmePath == "" {

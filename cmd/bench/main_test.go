@@ -99,7 +99,8 @@ func TestPerfTableSplicesOneFile(t *testing.T) {
 	dir := t.TempDir()
 	path := writeDoc(t, dir, "after.json", []benchmarks.Result{
 		{Name: "GPFit", NsPerOp: 83200, BytesPerOp: 512, AllocsPerOp: 1},
-		{Name: "FleetPlace", NsPerOp: 94.5e6, BytesPerOp: 3 << 20, AllocsPerOp: 733141},
+		{Name: "FleetPlace", NsPerOp: 94.5e6, BytesPerOp: 3 << 20, AllocsPerOp: 733141,
+			Extra: map[string]float64{"ns_per_op_min": 90e6, "ns_per_op_max": 101.25e6}},
 	})
 	readme := filepath.Join(dir, "README.md")
 	before := "intro\n" + perftableBegin + "\nstale table\n" + perftableEnd + "\noutro\n"
@@ -117,7 +118,7 @@ func TestPerfTableSplicesOneFile(t *testing.T) {
 	for _, want := range []string{
 		"intro\n" + perftableBegin + "\n",
 		"| `GPFit` | 83.2 µs | 512 | 1 |\n",
-		"| `FleetPlace` | 94.50 ms | 3145728 | 733141 |\n",
+		"| `FleetPlace` | 94.50 ms (90.00 ms–101.25 ms) | 3145728 | 733141 |\n",
 		perftableEnd + "\noutro\n",
 	} {
 		if !strings.Contains(got, want) {

@@ -15,8 +15,12 @@ import (
 // Acquisition maps a posterior prediction (mean, std) and the
 // incumbent best objective value to a "how promising is this point"
 // score; the BO engine samples the feasible point that maximizes it.
+// Partials returns the score's derivatives in the mean and the std,
+// through which the engine chains the posterior's gradients
+// (∇a = ∂a/∂μ·∇μ + ∂a/∂σ·∇σ) for the acquisition ascent.
 type Acquisition interface {
 	Value(mean, std, best float64) float64
+	Partials(mean, std, best float64) (dMean, dStd float64)
 	Name() string
 }
 
@@ -39,6 +43,15 @@ func (e EI) Value(mean, std, best float64) float64 {
 	return improve*stats.NormCDF(z) + std*stats.NormPDF(z)
 }
 
+// Partials implements Acquisition: ∂E/∂μ = Ω(z) and ∂E/∂σ = ω(z).
+func (e EI) Partials(mean, std, best float64) (float64, float64) {
+	if std <= 0 {
+		return 0, 0
+	}
+	z := (mean - best - e.Zeta) / std
+	return stats.NormCDF(z), stats.NormPDF(z)
+}
+
 // Name implements Acquisition.
 func (e EI) Name() string { return fmt.Sprintf("ei(zeta=%g)", e.Zeta) }
 
@@ -54,6 +67,17 @@ func (p PI) Value(mean, std, best float64) float64 {
 		return 0
 	}
 	return stats.NormCDF((mean - best - p.Zeta) / std)
+}
+
+// Partials implements Acquisition: ∂Ω(z)/∂μ = ω(z)/σ and
+// ∂Ω(z)/∂σ = −z·ω(z)/σ.
+func (p PI) Partials(mean, std, best float64) (float64, float64) {
+	if std <= 0 {
+		return 0, 0
+	}
+	z := (mean - best - p.Zeta) / std
+	pdf := stats.NormPDF(z)
+	return pdf / std, -z * pdf / std
 }
 
 // Name implements Acquisition.
@@ -73,6 +97,15 @@ func (u UCB) Value(mean, std, best float64) float64 {
 		return 0
 	}
 	return v
+}
+
+// Partials implements Acquisition: (1, β), or zero where the value is
+// clipped.
+func (u UCB) Partials(mean, std, best float64) (float64, float64) {
+	if mean+u.Beta*std-best < 0 {
+		return 0, 0
+	}
+	return 1, u.Beta
 }
 
 // Name implements Acquisition.

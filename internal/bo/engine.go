@@ -3,6 +3,7 @@ package bo
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -345,7 +346,7 @@ func (r *Runner) Run(eval EvalFunc, opts Options) (Result, error) {
 		if e.best().Eval.Score > 0.5 && iter%3 == 1 {
 			if cand, ok := e.reshuffleProbe(rng); ok {
 				e.xVec = cand.VectorInto(e.xVec)
-				probeEI := e.scoreOne(e.eiBatchFn, e.xVec)
+				probeEI := e.eiFn(e.xVec, nil)
 				result.EITrace = append(result.EITrace, probeEI)
 				if err := e.evaluate(cand, eval); err != nil {
 					return Result{}, err
@@ -369,9 +370,9 @@ func (r *Runner) Run(eval EvalFunc, opts Options) (Result, error) {
 		// model is decent; interleaving mean-climbing steps converts
 		// model knowledge into score steadily without giving up the
 		// exploration the other two thirds provide.
-		objective := e.eiBatchFn
+		objective := e.eiFn
 		if ee := opts.exploitEvery(); ee > 0 && iter%ee == ee-1 {
-			objective = e.meanBatchFn
+			objective = e.meanFn
 		}
 		starts := e.collectStarts(e.best())
 		problem := optimize.Problem{
@@ -397,7 +398,7 @@ func (r *Runner) Run(eval EvalFunc, opts Options) (Result, error) {
 		}
 		// The trace and the termination rule are always in EI units,
 		// whichever objective picked the candidate.
-		eiStar := e.scoreOne(e.eiBatchFn, xStar)
+		eiStar := e.eiFn(xStar, nil)
 		result.EITrace = append(result.EITrace, eiStar)
 
 		resource.RoundFeasibleInto(topo, nJobs, xStar, &e.roundCfg, &e.roundScratch)
@@ -509,7 +510,7 @@ type engine struct {
 	// scratch pools per-goroutine prediction buffers for the
 	// acquisition objectives: Maximize calls them from concurrent
 	// ascents, and each evaluation needs a normalized copy of the
-	// candidate plus GP solve vectors.
+	// candidate plus GP solve and gradient vectors.
 	scratch sync.Pool
 
 	// means/stds/batchBuf serve bestByPosterior's bulk scoring of the
@@ -519,16 +520,12 @@ type engine struct {
 
 	// Per-iteration acquisition state published by Run and read by the
 	// objective methods below. The method values are bound once in
-	// newEngine so the hot loop never materializes fresh closures;
-	// oneRow/oneVal are scoreOne's batch, used on the Run goroutine
-	// only.
+	// newEngine so the hot loop never materializes fresh closures.
 	acq         Acquisition
 	curModel    *gp.GP
 	curBestMean float64
-	eiBatchFn   func([][]float64, []float64)
-	meanBatchFn func([][]float64, []float64)
-	oneRow      [1][]float64
-	oneVal      [1]float64
+	eiFn        func(x, grad []float64) float64
+	meanFn      func(x, grad []float64) float64
 
 	// Config/vector arenas for the decision loop. Each scratch config
 	// is owned by exactly one call path; evaluate copies whatever it
@@ -567,8 +564,8 @@ type engine struct {
 func newEngine(topo resource.Topology, nJobs int) *engine {
 	e := &engine{topo: topo, nJobs: nJobs}
 	e.scratch.New = func() any { return new(predictScratch) }
-	e.eiBatchFn = e.eiBatch
-	e.meanBatchFn = e.meanBatch
+	e.eiFn = e.eiObjective
+	e.meanFn = e.meanObjective
 	return e
 }
 
@@ -671,67 +668,60 @@ func (e *engine) bootSlot() *resource.Config {
 	return c
 }
 
-// predictScratch is one goroutine's worth of objective scratch: one
-// normalized row per candidate plus the PredictBatch outputs.
+// predictScratch is one goroutine's worth of objective scratch: the
+// normalized candidate as a one-row batch, the PredictBatch outputs
+// and the posterior gradients.
 type predictScratch struct {
-	buf      gp.PredictBuf
-	normFlat []float64
-	normRows [][]float64
-	means    []float64
-	stds     []float64
+	buf         gp.PredictBuf
+	row         [1][]float64
+	mean, std   [1]float64
+	dMean, dStd []float64
 }
 
-// batchEval scores a candidate batch under the published per-iteration
-// state (curModel, curBestMean, acq) through one PredictBatch call —
-// EI, or with meanOnly the posterior mean (pure exploitation).
-func (e *engine) batchEval(xs [][]float64, out []float64, meanOnly bool) {
-	m := len(xs)
-	if m == 0 {
-		return
-	}
+// objective scores the unit vector x under the published
+// per-iteration state (curModel, curBestMean, acq) — the acquisition,
+// or with meanOnly the posterior mean (pure exploitation) — and, when
+// grad is non-nil, writes its gradient in units: the acquisition's
+// partials chained through ∇μ and ∇σ, then through NormalizeInto's
+// 1/Units scale per coordinate.
+func (e *engine) objective(x, grad []float64, meanOnly bool) float64 {
 	s := e.scratch.Get().(*predictScratch)
-	dim := len(xs[0])
-	if cap(s.normFlat) < m*dim {
-		s.normFlat = make([]float64, m*dim)
-	}
-	if cap(s.normRows) < m {
-		s.normRows = make([][]float64, 0, m)
-	}
-	s.normRows = s.normRows[:0]
-	for j, x := range xs {
-		row := e.topo.NormalizeInto(s.normFlat[j*dim:(j+1)*dim:(j+1)*dim], x)
-		s.normRows = append(s.normRows, row)
-	}
-	if cap(s.means) < m {
-		s.means = make([]float64, m)
-		s.stds = make([]float64, m)
-	}
-	means, stds := s.means[:m], s.stds[:m]
-	if err := e.curModel.PredictBatch(s.normRows, means, stds, &s.buf); err != nil {
-		for i := range out {
-			out[i] = math.Inf(-1)
+	s.row[0] = e.topo.NormalizeInto(s.row[0], x)
+	var dMean, dStd []float64
+	if grad != nil {
+		s.dMean = slices.Grow(s.dMean[:0], len(x))[:len(x)]
+		dMean = s.dMean
+		if !meanOnly {
+			s.dStd = slices.Grow(s.dStd[:0], len(x))[:len(x)]
+			dStd = s.dStd
 		}
-	} else if meanOnly {
-		copy(out, means)
+	}
+	val := math.Inf(-1)
+	if err := e.curModel.PredictBatch(s.row[:], s.mean[:], s.std[:], dMean, dStd, &s.buf); err != nil {
+		clear(grad)
 	} else {
-		for i := range out {
-			out[i] = e.acq.Value(means[i], stds[i], e.curBestMean)
+		pm, ps := 1.0, 0.0
+		if meanOnly {
+			val = s.mean[0]
+		} else {
+			val = e.acq.Value(s.mean[0], s.std[0], e.curBestMean)
+			pm, ps = e.acq.Partials(s.mean[0], s.std[0], e.curBestMean)
+		}
+		nres := len(e.topo)
+		for i := range grad {
+			g := pm * dMean[i]
+			if dStd != nil {
+				g += ps * dStd[i]
+			}
+			grad[i] = g / float64(e.topo[i%nres].Units)
 		}
 	}
 	e.scratch.Put(s)
+	return val
 }
 
-func (e *engine) eiBatch(xs [][]float64, out []float64)   { e.batchEval(xs, out, false) }
-func (e *engine) meanBatch(xs [][]float64, out []float64) { e.batchEval(xs, out, true) }
-
-// scoreOne scores x as a one-row batch of objective. It serves the
-// Run goroutine's single-point scores (probe EI, eiStar, neighbour
-// ranking) without a second, scalar objective path.
-func (e *engine) scoreOne(objective func([][]float64, []float64), x []float64) float64 {
-	e.oneRow[0] = x
-	objective(e.oneRow[:], e.oneVal[:])
-	return e.oneVal[0]
-}
+func (e *engine) eiObjective(x, grad []float64) float64   { return e.objective(x, grad, false) }
+func (e *engine) meanObjective(x, grad []float64) float64 { return e.objective(x, grad, true) }
 
 func (e *engine) evaluate(cfg resource.Config, eval EvalFunc) error {
 	ev, err := eval(cfg)
@@ -862,7 +852,7 @@ func (e *engine) bestByPosterior(model *gp.GP) (int, float64) {
 		e.stds = make([]float64, n)
 	}
 	e.means, e.stds = e.means[:n], e.stds[:n]
-	if err := model.PredictBatch(e.normXs[:n], e.means, e.stds, &e.batchBuf); err != nil {
+	if err := model.PredictBatch(e.normXs[:n], e.means, e.stds, nil, nil, &e.batchBuf); err != nil {
 		return 0, math.Inf(-1)
 	}
 	bestIdx, bestMean := 0, math.Inf(-1)
@@ -1106,7 +1096,7 @@ func (e *engine) collectStarts(best Sample) [][]float64 {
 // cfg and returns the unseen feasible neighbour the current objective
 // ranks highest, falling back to random perturbation when the whole
 // neighbourhood has been sampled.
-func (e *engine) bestUnseenNeighbor(cfg resource.Config, objective func([][]float64, []float64), rng *stats.RNG) resource.Config {
+func (e *engine) bestUnseenNeighbor(cfg resource.Config, objective func(x, grad []float64) float64, rng *stats.RNG) resource.Config {
 	found := false
 	bestVal := math.Inf(-1)
 	for r := range e.topo {
@@ -1120,7 +1110,7 @@ func (e *engine) bestUnseenNeighbor(cfg resource.Config, objective func([][]floa
 					continue
 				}
 				e.xVec = e.candCfg.VectorInto(e.xVec)
-				if v := e.scoreOne(objective, e.xVec); v > bestVal {
+				if v := objective(e.xVec, nil); v > bestVal {
 					bestVal = v
 					e.neighborCfg.CopyFrom(e.candCfg)
 					found = true

@@ -163,6 +163,6 @@ func TestParallelRunIsByteIdentical(t *testing.T) {
 // through a fresh buffer.
 func predictOne(m *gp.GP, x []float64) (mean, std float64, err error) {
 	var means, stds [1]float64
-	err = m.PredictBatch([][]float64{x}, means[:], stds[:], new(gp.PredictBuf))
+	err = m.PredictBatch([][]float64{x}, means[:], stds[:], nil, nil, new(gp.PredictBuf))
 	return means[0], stds[0], err
 }

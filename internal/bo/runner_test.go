@@ -6,16 +6,16 @@ import (
 	"testing"
 
 	"clite/internal/resource"
+	"clite/internal/stats"
 )
 
-// TestBatchedEIMatchesScalar intercepts the batched EI and
+// TestObjectiveValuesMatchPosterior intercepts the EI and
 // posterior-mean objectives the engine hands the acquisition maximizer
-// and its single-point scorers and, on every batch a seeded run
-// produces, demands each output equal a single-point reference bit for
-// bit: the row normalized, scored as a one-row batch and, for EI,
-// closed through acq.Value. Batching restructures only the scheduling
-// across probe points, never a point's operation chain.
-func TestBatchedEIMatchesScalar(t *testing.T) {
+// and its single-point scorers and, on every call a seeded run makes,
+// demands the value equal a one-row posterior reference bit for bit —
+// whether or not the call asked for a gradient: the row normalized,
+// scored through PredictBatch and, for EI, closed through acq.Value.
+func TestObjectiveValuesMatchPosterior(t *testing.T) {
 	topo := resource.Small()
 	for seed := int64(1); seed <= 4; seed++ {
 		r, err := NewRunner(topo, 3)
@@ -33,35 +33,106 @@ func TestBatchedEIMatchesScalar(t *testing.T) {
 			}
 			return e.acq.Value(mean, std, e.curBestMean)
 		}
-		var rows [2]int
-		mismatches, first := 0, ""
-		check := func(kind int, batch func([][]float64, []float64)) func([][]float64, []float64) {
-			return func(xs [][]float64, out []float64) {
-				batch(xs, out)
-				for i, x := range xs {
-					if want := scalar(kind == 1, x); math.Float64bits(out[i]) != math.Float64bits(want) {
-						if mismatches == 0 {
-							first = fmt.Sprintf("objective %d row %d: batched %v, scalar %v", kind, i, out[i], want)
-						}
-						mismatches++
+		var calls [2]int
+		gradCalls, mismatches, first := 0, 0, ""
+		check := func(kind int, obj func(x, grad []float64) float64) func(x, grad []float64) float64 {
+			return func(x, grad []float64) float64 {
+				v := obj(x, grad)
+				if want := scalar(kind == 1, x); math.Float64bits(v) != math.Float64bits(want) {
+					if mismatches == 0 {
+						first = fmt.Sprintf("objective %d (gradient %t): %v, reference %v", kind, grad != nil, v, want)
 					}
+					mismatches++
 				}
-				rows[kind] += len(xs)
+				calls[kind]++
+				if grad != nil {
+					gradCalls++
+				}
+				return v
 			}
 		}
 		// Workers: 1 keeps the maximizer's ascents, and so these
 		// unsynchronized counters, on the test goroutine.
-		e.eiBatchFn = check(0, e.eiBatch)
-		e.meanBatchFn = check(1, e.meanBatch)
+		e.eiFn = check(0, e.eiObjective)
+		e.meanFn = check(1, e.meanObjective)
 		opts := Options{Seed: seed, MaxIterations: 20, Workers: 1}
 		if _, err := r.Run(bowlEval(topo, mustTarget(topo, 3, seed+100)), opts); err != nil {
 			t.Fatalf("seed %d: Run: %v", seed, err)
 		}
 		if mismatches > 0 {
-			t.Fatalf("seed %d: %d of %d rows differ; first %s", seed, mismatches, rows[0]+rows[1], first)
+			t.Fatalf("seed %d: %d of %d calls differ; first %s", seed, mismatches, calls[0]+calls[1], first)
 		}
-		if rows[0] == 0 || rows[1] == 0 {
-			t.Fatalf("seed %d: batched objectives unused (EI rows %d, mean rows %d)", seed, rows[0], rows[1])
+		if calls[0] == 0 || calls[1] == 0 || gradCalls == 0 {
+			t.Fatalf("seed %d: objectives unused (EI %d, mean %d, with gradient %d)", seed, calls[0], calls[1], gradCalls)
+		}
+	}
+}
+
+// TestObjectiveGradientsMatchCentralDifference checks the closed-form
+// gradient of every objective the engine ascends — EI, PI, UCB and the
+// posterior mean — under both kernel families against central
+// differences of the value-only objective, at random interior points
+// of the partition space, to a relative error of 1e-5. (Zeroing the
+// frozen dropout coordinates is optimize.Problem's job; its own
+// central-difference test covers that.)
+func TestObjectiveGradientsMatchCentralDifference(t *testing.T) {
+	topo := resource.Default()
+	const nJobs = 3
+	acqs := []Acquisition{EI{Zeta: 0.01}, PI{Zeta: 0.01}, UCB{Beta: 2}, nil}
+	for _, family := range []string{"matern52", "rbf"} {
+		r, err := NewRunner(topo, nJobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Seed: 3, KernelFamily: family, MaxIterations: 12, Workers: 1}
+		if _, err := r.Run(bowlEval(topo, mustTarget(topo, nJobs, 7)), opts); err != nil {
+			t.Fatal(err)
+		}
+		e := r.e
+		model, err := e.fit(family)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.curModel = model
+		_, e.curBestMean = e.bestByPosterior(model)
+		rng := stats.NewRNG(11)
+		for _, acq := range acqs {
+			obj, name := e.meanObjective, "posterior mean"
+			if acq != nil {
+				e.acq, obj, name = acq, e.eiObjective, acq.Name()
+			}
+			worst := 0.0
+			for p := 0; p < 20; p++ {
+				// Off-lattice points: sampled configurations sit on the
+				// integer lattice, where σ collapses.
+				x := resource.Random(topo, nJobs, rng).Vector()
+				for i := range x {
+					x[i] += rng.Float64() - 0.5
+				}
+				grad := make([]float64, len(x))
+				val := obj(x, grad)
+				const h = 1e-5
+				var diff, scale float64
+				for i := range x {
+					x[i] += h
+					up := obj(x, nil)
+					x[i] -= 2 * h
+					down := obj(x, nil)
+					x[i] += h
+					fd := (up - down) / (2 * h)
+					diff = math.Max(diff, math.Abs(grad[i]-fd))
+					scale = math.Max(scale, math.Abs(fd))
+				}
+				// Below 1e-3 of the value per unit, a central difference
+				// cannot resolve the gradient past its rounding error.
+				if e := diff / math.Max(scale, 1e-3*math.Abs(val)); e > worst {
+					worst = e
+				}
+			}
+			t.Logf("%s × %s: worst %.3g", family, name, worst)
+			if worst > 1e-5 {
+				t.Errorf("%s × %s: worst relative gradient error %.3g", family, name, worst)
+			}
 		}
 	}
 }

@@ -180,7 +180,7 @@ func (r RSM) Run(m *server.Machine) (policies.Result, error) {
 	if err == nil {
 		xStar := optimize.Maximize(optimize.Problem{
 			Topo: topo, NJobs: nJobs,
-			Objective: optimize.PerRow(model.predict),
+			Objective: model.predict,
 			FrozenJob: -1,
 			RNG:       rng,
 		})
@@ -212,10 +212,28 @@ func (q *quadModel) features(x []float64) []float64 {
 	return f
 }
 
-// predict evaluates the fitted surface on a raw unit vector.
-func (q *quadModel) predict(x []float64) float64 {
-	f := q.features(q.topo.NormalizeInto(nil, x))
-	return linalg.Dot(f, q.coeff)
+// predict evaluates the fitted surface on a raw unit vector and, when
+// grad is non-nil, writes its gradient in units: with z the normalized
+// vector, ∂f/∂zₖ = βₖ + Σ_{i≤j} β_ij·∂(zᵢzⱼ)/∂zₖ, divided by resource
+// k's unit count.
+func (q *quadModel) predict(x, grad []float64) float64 {
+	z := q.topo.NormalizeInto(nil, x)
+	if grad != nil {
+		copy(grad, q.coeff[1:1+q.dim])
+		c := 1 + q.dim
+		for i := 0; i < q.dim; i++ {
+			for j := i; j < q.dim; j++ {
+				grad[i] += q.coeff[c] * z[j]
+				grad[j] += q.coeff[c] * z[i]
+				c++
+			}
+		}
+		nres := len(q.topo)
+		for k := range grad {
+			grad[k] /= float64(q.topo[k%nres].Units)
+		}
+	}
+	return linalg.Dot(q.features(z), q.coeff)
 }
 
 // fitQuadratic solves the ridge-regularized normal equations

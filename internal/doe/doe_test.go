@@ -93,10 +93,26 @@ func TestQuadraticFitRecoversPlantedSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	holdout := resource.EqualSplit(topo, nJobs)
-	got := model.predict(holdout.Vector())
+	got := model.predict(holdout.Vector(), nil)
 	want := truth(holdout.Vector())
 	if math.Abs(got-want) > 0.05 {
 		t.Errorf("quadratic fit predicts %v, want %v", got, want)
+	}
+	// The analytic gradient must match central differences, which are
+	// exact on a quadratic up to rounding.
+	x := holdout.Vector()
+	grad := make([]float64, len(x))
+	model.predict(x, grad)
+	const h = 1e-3
+	for i := range x {
+		x[i] += h
+		up := model.predict(x, nil)
+		x[i] -= 2 * h
+		down := model.predict(x, nil)
+		x[i] += h
+		if fd := (up - down) / (2 * h); math.Abs(grad[i]-fd) > 1e-8*math.Max(1, math.Abs(fd)) {
+			t.Errorf("coord %d: analytic gradient %v, central difference %v", i, grad[i], fd)
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ func TestPredictBatchEquivalence(t *testing.T) {
 		means := make([]float64, size)
 		stds := make([]float64, size)
 		var buf PredictBuf
-		if err := model.PredictBatch(xs, means, stds, &buf); err != nil {
+		if err := model.PredictBatch(xs, means, stds, nil, nil, &buf); err != nil {
 			t.Fatalf("batch %d: %v", size, err)
 		}
 		for i, x := range xs {
@@ -84,7 +84,7 @@ func TestPredictBatchEquivalence(t *testing.T) {
 	refMeans := make([]float64, len(probes))
 	refStds := make([]float64, len(probes))
 	var refBuf PredictBuf
-	if err := model.PredictBatch(probes, refMeans, refStds, &refBuf); err != nil {
+	if err := model.PredictBatch(probes, refMeans, refStds, nil, nil, &refBuf); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -95,7 +95,7 @@ func TestPredictBatchEquivalence(t *testing.T) {
 			means := make([]float64, len(probes))
 			stds := make([]float64, len(probes))
 			var buf PredictBuf
-			if err := model.PredictBatch(probes, means, stds, &buf); err != nil {
+			if err := model.PredictBatch(probes, means, stds, nil, nil, &buf); err != nil {
 				t.Error(err)
 				return
 			}
@@ -118,11 +118,11 @@ func TestPredictBatchSteadyStateAllocs(t *testing.T) {
 	means := make([]float64, len(probes))
 	stds := make([]float64, len(probes))
 	var buf PredictBuf
-	if err := model.PredictBatch(probes, means, stds, &buf); err != nil {
+	if err := model.PredictBatch(probes, means, stds, nil, nil, &buf); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := model.PredictBatch(probes, means, stds, &buf); err != nil {
+		if err := model.PredictBatch(probes, means, stds, nil, nil, &buf); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"clite/internal/linalg"
 	"clite/internal/stats"
@@ -95,7 +96,7 @@ func (g *GP) refit() error {
 		// dist squares each difference, so the symmetric value is
 		// bit-equal.
 		row := k.Row(i)[i:]
-		g.kernel.rowInto(g.x[i:], g.x[i], row)
+		g.kernel.rowInto(g.x[i:], g.x[i], row, nil)
 		for j := i + 1; j < n; j++ {
 			k.Set(j, i, row[j-i])
 		}
@@ -166,7 +167,7 @@ func (g *GP) Append(x []float64, y float64) error {
 		g.kRow = make([]float64, 0, 2*n)
 	}
 	g.kRow = g.kRow[:n]
-	g.kernel.rowInto(g.x, x, g.kRow)
+	g.kernel.rowInto(g.x, x, g.kRow, nil)
 	diag := g.kernel.variance + g.noise + g.jitter
 	g.x = append(g.x, x)
 	g.yRaw = append(g.yRaw, y)
@@ -183,23 +184,15 @@ func (g *GP) Append(x []float64, y float64) error {
 // N returns the number of conditioned samples.
 func (g *GP) N() int { return len(g.x) }
 
-// PredictBuf holds PredictBatch's scratch: m points' covariance rows
-// and solve vectors packed point-major with stride n. Reusing a buffer
-// across calls makes batch prediction allocation-free — the
-// acquisition maximizer evaluates the posterior thousands of times per
-// BO iteration. A buffer must not be shared between goroutines; give
-// each worker its own (they are cheap and grow on demand).
+// PredictBuf holds PredictBatch's scratch: m points' covariance rows,
+// solve vectors and kernel-gradient factors packed point-major with
+// stride n, plus one back-substitution vector. Reusing a buffer across
+// calls makes prediction allocation-free — the acquisition maximizer
+// evaluates the posterior thousands of times per BO iteration. A
+// buffer must not be shared between goroutines; give each worker its
+// own (they are cheap and grow on demand).
 type PredictBuf struct {
-	kFlat, vFlat []float64
-}
-
-func (b *PredictBuf) growBatch(m, n int) {
-	if cap(b.kFlat) < m*n {
-		b.kFlat = make([]float64, m*n)
-		b.vFlat = make([]float64, m*n)
-	}
-	b.kFlat = b.kFlat[:m*n]
-	b.vFlat = b.vFlat[:m*n]
+	kFlat, vFlat, cFlat, w []float64
 }
 
 // PredictBatch evaluates the posterior mean and standard deviation,
@@ -212,7 +205,19 @@ func (b *PredictBuf) growBatch(m, n int) {
 // dot order, substitution order) is that of a plain single-point
 // posterior — only the interleaving across points changes, which FP
 // arithmetic cannot observe.
-func (g *GP) PredictBatch(xs [][]float64, means, stds []float64, buf *PredictBuf) error {
+//
+// dMeans and dStds, when non-nil, receive the gradients ∇μ and ∇σ at
+// each point, packed point-major (len(xs)·dim); nil skips that work,
+// and the values are the same either way. With k* the covariance row,
+// L the Cholesky factor, α = K⁻¹y and v = L⁻¹k* from the forward
+// solve, σ_std = √(σ² − vᵀv), and targets standardized by sdY:
+//
+//   - ∇kᵢ = c(rᵢ)·(x − xᵢ)/l², with c = −(5/3)σ²(1+√5r)e^{−√5r} for
+//     Matérn-5/2 and c = −kᵢ for RBF;
+//   - ∇μ = sdY·Σᵢ αᵢ∇kᵢ;
+//   - ∇σ = −sdY·Σᵢ wᵢ∇kᵢ/σ_std with w = L⁻ᵀv, one back-substitution
+//     (0 where σ_std = 0).
+func (g *GP) PredictBatch(xs [][]float64, means, stds, dMeans, dStds []float64, buf *PredictBuf) error {
 	if len(means) != len(xs) || len(stds) != len(xs) {
 		return fmt.Errorf("gp: PredictBatch needs %d-slot outputs, got %d/%d", len(xs), len(means), len(stds))
 	}
@@ -223,10 +228,24 @@ func (g *GP) PredictBatch(xs [][]float64, means, stds []float64, buf *PredictBuf
 	if g.chol == nil {
 		return ErrNoData
 	}
-	n := len(g.x)
-	buf.growBatch(m, n)
+	n, dim := len(g.x), len(g.x[0])
+	for _, d := range [2][]float64{dMeans, dStds} {
+		if d != nil && len(d) != m*dim {
+			return fmt.Errorf("gp: PredictBatch needs %d-slot gradients, got %d", m*dim, len(d))
+		}
+	}
+	wantGrad := dMeans != nil || dStds != nil
+	buf.kFlat = slices.Grow(buf.kFlat[:0], m*n)[:m*n]
+	buf.vFlat = slices.Grow(buf.vFlat[:0], m*n)[:m*n]
+	if wantGrad {
+		buf.cFlat = slices.Grow(buf.cFlat[:0], m*n)[:m*n]
+	}
+	var dk []float64
 	for j, x := range xs {
-		g.kernel.rowInto(g.x, x, buf.kFlat[j*n:(j+1)*n])
+		if wantGrad {
+			dk = buf.cFlat[j*n : (j+1)*n]
+		}
+		g.kernel.rowInto(g.x, x, buf.kFlat[j*n:(j+1)*n], dk)
 	}
 	// Means: each point's dot runs over its contiguous covariance row.
 	for j := 0; j < m; j++ {
@@ -246,13 +265,51 @@ func (g *GP) PredictBatch(xs [][]float64, means, stds []float64, buf *PredictBuf
 			v[i] = sum / d
 		}
 	}
-	for j := range xs {
+	for j, x := range xs {
 		v := buf.vFlat[j*n : (j+1)*n]
 		varStd := g.kernel.variance - linalg.Dot(v, v)
 		if varStd < 0 {
 			varStd = 0
 		}
-		stds[j] = math.Sqrt(varStd) * g.sdY
+		sigma := math.Sqrt(varStd)
+		stds[j] = sigma * g.sdY
+		if !wantGrad {
+			continue
+		}
+		// ∇μ and ∇σ share the radial factors: accumulate the per-sample
+		// weights aᵢ = sdY·cᵢ·αᵢ/l² and bᵢ = −sdY·cᵢ·wᵢ/(l²·σ_std)
+		// against (x − xᵢ).
+		var dm, ds []float64
+		if dMeans != nil {
+			dm = dMeans[j*dim : (j+1)*dim]
+			clear(dm)
+		}
+		if dStds != nil {
+			clear(dStds[j*dim : (j+1)*dim])
+			if sigma > 0 {
+				ds = dStds[j*dim : (j+1)*dim]
+				buf.w = slices.Grow(buf.w[:0], n)[:n]
+				g.chol.SolveUpperTInto(v, buf.w)
+			}
+		}
+		scale := g.sdY / (g.kernel.lengthScale * g.kernel.lengthScale)
+		c := buf.cFlat[j*n : (j+1)*n]
+		for i, xi := range g.x {
+			a := scale * c[i] * g.alpha[i]
+			var b float64
+			if ds != nil {
+				b = -scale * c[i] * buf.w[i] / sigma
+			}
+			for d, xd := range x {
+				diff := xd - xi[d]
+				if dm != nil {
+					dm[d] += a * diff
+				}
+				if ds != nil {
+					ds[d] += b * diff
+				}
+			}
+		}
 	}
 	return nil
 }

@@ -18,7 +18,7 @@ func (g *GP) Predict(x []float64) (mean, std float64, err error) {
 	}
 	n := len(g.x)
 	kStar, v := make([]float64, n), make([]float64, n)
-	g.kernel.rowInto(g.x, x, kStar)
+	g.kernel.rowInto(g.x, x, kStar, nil)
 	muStd := linalg.Dot(kStar, g.alpha)
 	g.chol.SolveLowerInto(kStar, v)
 	varStd := g.kernel.variance - linalg.Dot(v, v)
@@ -56,7 +56,7 @@ func matern(l float64) Kernel {
 // eval returns k(a, b).
 func eval(k Kernel, a, b []float64) float64 {
 	var out [1]float64
-	k.rowInto([][]float64{a}, b, out[:])
+	k.rowInto([][]float64{a}, b, out[:], nil)
 	return out[0]
 }
 
@@ -124,7 +124,7 @@ func TestPredictBeforeFit(t *testing.T) {
 		t.Errorf("expected ErrNoData, got %v", err)
 	}
 	var mean, std [1]float64
-	if err := g.PredictBatch([][]float64{{0}}, mean[:], std[:], new(PredictBuf)); err != ErrNoData {
+	if err := g.PredictBatch([][]float64{{0}}, mean[:], std[:], nil, nil, new(PredictBuf)); err != ErrNoData {
 		t.Errorf("PredictBatch: expected ErrNoData, got %v", err)
 	}
 	if _, err := g.LogMarginalLikelihood(); err != ErrNoData {

@@ -208,7 +208,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	means := make([]float64, len(probes))
 	stds := make([]float64, len(probes))
 	var buf PredictBuf
-	if err := model.PredictBatch(probes, means, stds, &buf); err != nil {
+	if err := model.PredictBatch(probes, means, stds, nil, nil, &buf); err != nil {
 		t.Fatal(err)
 	}
 	for i, x := range probes {
@@ -220,7 +220,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 			t.Fatalf("probe %d: batch (%v,%v) vs single (%v,%v)", i, means[i], stds[i], m, s)
 		}
 	}
-	if err := model.PredictBatch(probes, means[:10], stds, &buf); err == nil {
+	if err := model.PredictBatch(probes, means[:10], stds, nil, nil, &buf); err == nil {
 		t.Fatal("short output slice should error")
 	}
 }

@@ -52,17 +52,29 @@ func KernelByName(name string, lengthScale, variance float64) (Kernel, error) {
 }
 
 // rowInto fills out[i] = k(xs[i], x) for every row, resolving the
-// family once per call instead of once per row.
-func (k Kernel) rowInto(xs [][]float64, x []float64, out []float64) {
+// family once per call instead of once per row. When dk is non-nil it
+// also fills dk[i] with the radial factor c(rᵢ) of the kernel's
+// gradient in x, ∇ₓk(xs[i], x) = c(rᵢ)·(x − xs[i])/l² (PredictBatch
+// lists the factors).
+func (k Kernel) rowInto(xs [][]float64, x []float64, out, dk []float64) {
 	l, v := k.lengthScale, k.variance
 	if k.family == "rbf" {
 		for i, xi := range xs {
 			out[i] = rbf(xi, x, l, v)
+			if dk != nil {
+				dk[i] = -out[i]
+			}
 		}
 		return
 	}
 	for i, xi := range xs {
-		out[i] = matern52(xi, x, l, v)
+		r := dist(xi, x, l)
+		s5r := math.Sqrt(5) * r
+		e := math.Exp(-s5r)
+		out[i] = v * (1 + s5r + 5*r*r/3) * e
+		if dk != nil {
+			dk[i] = -5.0 / 3 * v * (1 + s5r) * e
+		}
 	}
 }
 
@@ -75,12 +87,6 @@ func dist(a, b []float64, l float64) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum)
-}
-
-func matern52(a, b []float64, l, variance float64) float64 {
-	r := dist(a, b, l)
-	s5r := math.Sqrt(5) * r
-	return variance * (1 + s5r + 5*r*r/3) * math.Exp(-s5r)
 }
 
 func rbf(a, b []float64, l, variance float64) float64 {

@@ -280,17 +280,22 @@ func (c *Chol) SolveLowerInto(b, x []float64) {
 
 // SolveUpperTInto solves Lᵀ·x = b by backward substitution into x
 // (the stored factor is L; its transpose is implied). x may alias b.
+// It sweeps columns of Lᵀ, which are rows of the packed factor: each
+// solved x[i] is folded into the remaining entries as one axpy over a
+// contiguous row instead of a strided walk down a column.
 func (c *Chol) SolveUpperTInto(b, x []float64) {
 	n := c.n
 	if len(b) != n || len(x) != n {
 		panic(fmt.Sprintf("linalg: SolveUpperTInto dimension mismatch %d/%d vs %d", len(b), len(x), n))
 	}
+	copy(x, b)
 	for i := n - 1; i >= 0; i-- {
-		sum := b[i]
-		for k := i + 1; k < n; k++ {
-			sum -= c.At(k, i) * x[k]
+		row := c.Row(i)
+		x[i] /= row[i]
+		xi := x[i]
+		for k, l := range row[:i] {
+			x[k] -= l * xi
 		}
-		x[i] = sum / c.At(i, i)
 	}
 }
 

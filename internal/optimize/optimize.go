@@ -11,8 +11,9 @@
 // maximizers over the identical feasible set, restarted from multiple
 // points.
 //
-// Objectives have one form, a batch scorer (Problem.Objective,
-// DESIGN.md §13); PerRow lifts a scalar surface into it.
+// Objectives have one form, Problem.Objective: a scalar score that
+// also writes its closed-form gradient when asked (DESIGN.md §13), so
+// an ascent step costs one objective call.
 //
 // The multi-starts are independent, so Maximize fans them out over a
 // bounded worker pool and reduces the results in start order — the
@@ -93,21 +94,20 @@ func projectBoundedSimplexInPlace(v []float64, lo, hi, total float64, scratch *[
 	}
 }
 
-// Problem specifies one acquisition-maximization instance: a batched
+// Problem specifies one acquisition-maximization instance: an
 // objective over the partition polytope of Topo × NJobs, plus the
 // restart and worker settings of the multi-start ascent.
 type Problem struct {
 	Topo  resource.Topology
 	NJobs int
-	// Objective writes the value of each job-major continuous unit
-	// vector xs[i] (resource.Config.Vector layout) into out[i]; Maximize
-	// maximizes it. A row's value must not depend on its batch: the
-	// 2·dim gradient probes go in one call, which lets a GP posterior
-	// hoist kernel dispatch and factor-row traversal out of the probe
-	// loop, and every other point is a one-row batch. With Workers ≠ 1
-	// it is called concurrently and must be safe for that — closures
-	// carrying mutable scratch keep it per-goroutine (sync.Pool).
-	Objective func(xs [][]float64, out []float64)
+	// Objective returns the value at the job-major continuous unit
+	// vector x (resource.Config.Vector layout); Maximize maximizes it.
+	// When grad is non-nil it also writes ∇Objective(x), in the same
+	// layout, into grad; a nil grad asks for the value only. With
+	// Workers ≠ 1 it is called concurrently and must be safe for that —
+	// closures carrying mutable scratch keep it per-goroutine
+	// (sync.Pool).
+	Objective func(x, grad []float64) float64
 	// FrozenJob, if ≥ 0, pins that job's allocation to FrozenAlloc —
 	// the paper's dropout-copy dimensionality reduction (Sec. 4).
 	FrozenJob   int
@@ -130,15 +130,6 @@ type Problem struct {
 	// allocation-free at steady state. The returned vector aliases the
 	// scratch and is valid until the next Maximize call using it.
 	Scratch *Scratch
-}
-
-// PerRow adapts a scalar surface f to the batched Objective form.
-func PerRow(f func(x []float64) float64) func(xs [][]float64, out []float64) {
-	return func(xs [][]float64, out []float64) {
-		for i, x := range xs {
-			out[i] = f(x)
-		}
-	}
 }
 
 // Scratch holds Maximize's reusable state: the flat arena backing the
@@ -172,17 +163,10 @@ func (p *Problem) randomStarts() int {
 // concurrent starts.
 type ascender struct {
 	cand, grad []float64
+	candGrad   []float64
 	free       []float64
 	idx        []int
 	bp         []float64
-	// Batched-gradient scratch: probe rows (flat, point-major) and
-	// their objective values.
-	probeBuf  []float64
-	probeRows [][]float64
-	probeVals []float64
-	// One-row batch for the start point and step candidates.
-	row    [1][]float64
-	rowVal [1]float64
 }
 
 var ascenderPool = sync.Pool{New: func() any { return new(ascender) }}
@@ -255,24 +239,28 @@ func Maximize(p Problem) []float64 {
 // slice is ascended in place and returned.
 func (p *Problem) ascend(start []float64, a *ascender) ([]float64, float64) {
 	x := start
-	fx := p.value(x, a)
-	step := 2.0 // units; the search space spans tens of units per axis
-	if cap(a.grad) < len(x) {
-		a.grad = make([]float64, len(x))
-		a.cand = make([]float64, len(x))
+	n := len(x)
+	if cap(a.grad) < n {
+		a.grad = make([]float64, n)
+		a.cand = make([]float64, n)
+		a.candGrad = make([]float64, n)
 	}
-	grad := a.grad[:len(x)]
-	cand := a.cand[:len(x)]
+	grad, cand, candGrad := a.grad[:n], a.cand[:n], a.candGrad[:n]
+	fx := p.gradient(x, grad)
+	step := 2.0 // units; the search space spans tens of units per axis
 	for iter := 0; iter < p.iterations(); iter++ {
-		p.gradient(x, grad, a)
 		improved := false
 		for tries := 0; tries < 6; tries++ {
 			for i := range x {
 				cand[i] = x[i] + step*grad[i]
 			}
 			p.projectInPlace(cand, a)
-			if fc := p.value(cand, a); fc > fx {
+			// Candidates are scored with their gradient: an accepted one
+			// is the next step's origin, so its posterior pass is not
+			// repeated.
+			if fc := p.gradient(cand, candGrad); fc > fx {
 				copy(x, cand)
+				grad, candGrad = candGrad, grad
 				fx = fc
 				improved = true
 				break
@@ -289,60 +277,19 @@ func (p *Problem) ascend(start []float64, a *ascender) ([]float64, float64) {
 	return x, fx
 }
 
-// value scores x as a one-row batch through the ascender's row slot.
-func (p *Problem) value(x []float64, a *ascender) float64 {
-	a.row[0] = x
-	p.Objective(a.row[:], a.rowVal[:])
-	return a.rowVal[0]
-}
-
-// gradient fills g with a central-difference estimate of ∇Objective,
-// skipping frozen coordinates, normalized so the step size is in
-// units, not objective scale. Differences stay inside the feasible
-// set only approximately; the objective must tolerate slightly
-// infeasible probes (acquisition surfaces do).
-//
-// The 2·dim probe points are snapshotted and scored in one batched
-// call. Each snapshot is the state a probe-at-a-time estimator would
-// evaluate — including the rounding drift the restore step
-// (x[i]+h−2h+h) leaves in x, which later coordinates' probes observe —
-// so batching changes only when probes are scored, never their
-// vectors.
-func (p *Problem) gradient(x []float64, g []float64, a *ascender) {
-	const h = 0.25
+// gradient returns Objective at x and fills g with its gradient, one
+// objective call, with frozen coordinates zeroed and the result
+// normalized to unit length so the step size is in units, not
+// objective scale.
+func (p *Problem) gradient(x []float64, g []float64) float64 {
+	fx := p.Objective(x, g)
 	nres := len(p.Topo)
-	dim := len(x)
-	if cap(a.probeBuf) < 2*dim*dim {
-		a.probeBuf = make([]float64, 2*dim*dim)
-		a.probeRows = make([][]float64, 0, 2*dim)
-		a.probeVals = make([]float64, 2*dim)
-	}
-	a.probeRows = a.probeRows[:0]
-	for i := range x {
-		if p.FrozenJob >= 0 && i/nres == p.FrozenJob {
-			continue
-		}
-		k := len(a.probeRows)
-		up := a.probeBuf[k*dim : (k+1)*dim : (k+1)*dim]
-		down := a.probeBuf[(k+1)*dim : (k+2)*dim : (k+2)*dim]
-		x[i] += h
-		copy(up, x)
-		x[i] -= 2 * h
-		copy(down, x)
-		x[i] += h
-		a.probeRows = append(a.probeRows, up, down)
-	}
-	vals := a.probeVals[:len(a.probeRows)]
-	p.Objective(a.probeRows, vals)
 	norm := 0.0
-	k := 0
-	for i := range x {
+	for i := range g {
 		if p.FrozenJob >= 0 && i/nres == p.FrozenJob {
 			g[i] = 0
 			continue
 		}
-		g[i] = (vals[k] - vals[k+1]) / (2 * h)
-		k += 2
 		norm += g[i] * g[i]
 	}
 	if norm = math.Sqrt(norm); norm > 1e-12 {
@@ -350,6 +297,7 @@ func (p *Problem) gradient(x []float64, g []float64, a *ascender) {
 			g[i] /= norm
 		}
 	}
+	return fx
 }
 
 // projectInPlace maps x onto the feasible polytope, resource by

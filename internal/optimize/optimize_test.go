@@ -84,12 +84,15 @@ func TestProjectionIsIdempotent(t *testing.T) {
 }
 
 // quadraticObjective builds a concave bowl with its peak at target.
-func quadraticObjective(target []float64) func([]float64) float64 {
-	return func(x []float64) float64 {
+func quadraticObjective(target []float64) func(x, grad []float64) float64 {
+	return func(x, grad []float64) float64 {
 		var s float64
 		for i := range x {
 			d := x[i] - target[i]
 			s -= d * d
+			if grad != nil {
+				grad[i] = -2 * d
+			}
 		}
 		return s
 	}
@@ -102,7 +105,7 @@ func TestMaximizeFindsInteriorOptimum(t *testing.T) {
 	target := []float64{7, 3, 6, 3, 7, 4}
 	got := Maximize(Problem{
 		Topo: topo, NJobs: nJobs,
-		Objective: PerRow(quadraticObjective(target)),
+		Objective: quadraticObjective(target),
 		FrozenJob: -1,
 		RNG:       stats.NewRNG(1),
 	})
@@ -121,7 +124,7 @@ func TestMaximizeRespectsConstraintsWhenPeakInfeasible(t *testing.T) {
 	target := []float64{20, 20, 20, -5, -5, -5}
 	got := Maximize(Problem{
 		Topo: topo, NJobs: nJobs,
-		Objective: PerRow(quadraticObjective(target)),
+		Objective: quadraticObjective(target),
 		FrozenJob: -1,
 		RNG:       stats.NewRNG(2),
 	})
@@ -147,7 +150,7 @@ func TestMaximizeHonoursFrozenJob(t *testing.T) {
 	target := []float64{8, 8, 8, 1, 1, 1, 1, 1, 1}
 	got := Maximize(Problem{
 		Topo: topo, NJobs: nJobs,
-		Objective:   PerRow(quadraticObjective(target)),
+		Objective:   quadraticObjective(target),
 		FrozenJob:   1,
 		FrozenAlloc: frozen,
 		RNG:         stats.NewRNG(3),
@@ -173,26 +176,30 @@ func TestMaximizeUsesWarmStarts(t *testing.T) {
 	// A needle objective only a warm start can find: reward within a
 	// tight ball around (2,2,2)/(8,8,8).
 	needle := []float64{2, 2, 2, 8, 8, 8}
-	obj := func(x []float64) float64 {
+	obj := func(x, grad []float64) float64 {
 		var d float64
 		for i := range x {
 			dd := x[i] - needle[i]
 			d += dd * dd
+			if grad != nil {
+				grad[i] = -2 * dd
+			}
 		}
 		if d > 4 {
+			clear(grad)
 			return 0
 		}
 		return 10 - d
 	}
 	got := Maximize(Problem{
 		Topo: topo, NJobs: nJobs,
-		Objective: PerRow(obj),
+		Objective: obj,
 		FrozenJob: -1,
 		Starts:    [][]float64{needle},
 		RNG:       stats.NewRNG(4),
 	})
-	if obj(got) < 9 {
-		t.Errorf("warm start should land on the needle: %v (obj %v)", got, obj(got))
+	if obj(got, nil) < 9 {
+		t.Errorf("warm start should land on the needle: %v (obj %v)", got, obj(got, nil))
 	}
 }
 
@@ -205,7 +212,7 @@ func TestMaximizeToConfigIsFeasible(t *testing.T) {
 		peak := resource.Random(topo, nJobs, local).Vector()
 		cfg := MaximizeToConfig(Problem{
 			Topo: topo, NJobs: nJobs,
-			Objective:       PerRow(quadraticObjective(peak)),
+			Objective:       quadraticObjective(peak),
 			FrozenJob:       -1,
 			NumRandomStarts: 3,
 			Iterations:      25,
@@ -224,7 +231,7 @@ func TestMaximizeDeterministicGivenSeed(t *testing.T) {
 	run := func() []float64 {
 		return Maximize(Problem{
 			Topo: topo, NJobs: 2,
-			Objective: PerRow(quadraticObjective(target)),
+			Objective: quadraticObjective(target),
 			FrozenJob: -1,
 			RNG:       stats.NewRNG(42),
 		})

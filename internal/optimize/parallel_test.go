@@ -20,7 +20,7 @@ func TestMaximizeParallelIsByteIdentical(t *testing.T) {
 		run := func(workers int) []float64 {
 			return Maximize(Problem{
 				Topo: topo, NJobs: nJobs,
-				Objective: PerRow(quadraticObjective(target)),
+				Objective: quadraticObjective(target),
 				FrozenJob: -1,
 				RNG:       stats.NewRNG(seed),
 				Workers:   workers,
@@ -49,7 +49,7 @@ func TestMaximizeParallelWithFrozenJob(t *testing.T) {
 	run := func(workers int) []float64 {
 		return Maximize(Problem{
 			Topo: topo, NJobs: nJobs,
-			Objective:   PerRow(quadraticObjective(target)),
+			Objective:   quadraticObjective(target),
 			FrozenJob:   1,
 			FrozenAlloc: frozen,
 			RNG:         stats.NewRNG(3),
@@ -87,7 +87,7 @@ func TestMaximizeConcurrentCallers(t *testing.T) {
 			target := resource.EqualSplit(topo, nJobs).Vector()
 			results[g] = Maximize(Problem{
 				Topo: topo, NJobs: nJobs,
-				Objective: PerRow(quadraticObjective(target)),
+				Objective: quadraticObjective(target),
 				FrozenJob: -1,
 				RNG:       stats.NewRNG(int64(g)),
 				Workers:   2,
@@ -99,7 +99,7 @@ func TestMaximizeConcurrentCallers(t *testing.T) {
 		nJobs := 2 + g%3
 		want := Maximize(Problem{
 			Topo: topo, NJobs: nJobs,
-			Objective: PerRow(quadraticObjective(resource.EqualSplit(topo, nJobs).Vector())),
+			Objective: quadraticObjective(resource.EqualSplit(topo, nJobs).Vector()),
 			FrozenJob: -1,
 			RNG:       stats.NewRNG(int64(g)),
 			Workers:   1,

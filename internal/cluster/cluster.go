@@ -179,9 +179,9 @@ type Stats struct {
 	VerifyWindows int
 }
 
-// node tracks one machine's accepted jobs. Machines are rebuilt per
-// placement trial — simulated machines are cheap, and a fresh build is
-// the cleanest way to express "what if this job also ran here".
+// node tracks one machine's accepted jobs. Each placement trial fills
+// a new (screen) or reset (verify) machine with the node's seed and
+// jobs — the cleanest way to express "what if this job also ran here".
 //
 // mix and demand summarize requests for the assessment pass and move
 // with it at every site that changes it (admit, Remove, FailNode,
@@ -231,10 +231,11 @@ type Scheduler struct {
 	// Per-call buffers, reused under mu: the live-node order, the
 	// candidates of the current assessment, the arena their packed
 	// keys live in, and the screening representatives.
-	order []*node
-	cands []candidate
-	keys  []byte
-	reps  []*candidate
+	order    []*node
+	cands    []candidate
+	keys     []byte
+	reps     []*candidate
+	verifier *server.Machine // reset for each verify window, all under mu
 }
 
 // statCounters is the registry-backed storage behind Stats: one handle
@@ -325,15 +326,14 @@ func (s *Scheduler) Stats() Stats {
 // has memoized.
 func (s *Scheduler) CacheLen() int { return s.profiles.Len() }
 
-// build constructs the machine hosting the node's jobs plus an
-// optional extra request. The request slice is assembled in the node's
-// scratch buffer — each node is built at most once per placement
-// trial, so the buffer is never shared across goroutines — and the
-// machine shares the scheduler-wide calibration cache, so each
-// workload pays its QoS calibration sweep once per cluster rather than
-// once per trial.
-func (s *Scheduler) build(n *node, extra *Request) (*server.Machine, error) {
-	m := server.NewShared(s.topo, s.spec, n.seed, s.cals)
+// build places the node's jobs plus an optional extra request on m, a
+// new or reset machine of the node's seed that shares the
+// scheduler-wide calibration cache, so each workload pays its QoS
+// calibration sweep once per cluster rather than once per trial. The
+// request slice is assembled in the node's scratch buffer — each node
+// is built at most once per placement trial, so the buffer is never
+// shared across goroutines.
+func (s *Scheduler) build(m *server.Machine, n *node, extra *Request) error {
 	reqs := n.requests
 	if extra != nil {
 		n.scratch = append(n.scratch[:0], n.requests...)
@@ -348,10 +348,10 @@ func (s *Scheduler) build(n *node, extra *Request) (*server.Machine, error) {
 			_, err = m.AddBG(r.Workload)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return m, nil
+	return nil
 }
 
 // faultPlan derives the per-screen fault stream from the cluster-level
@@ -373,8 +373,8 @@ func (s *Scheduler) faultPlan(n *node) faults.Plan {
 // (the window was lost, not the co-location disproved): the candidate
 // is treated as infeasible for this placement but nothing is cached.
 func (s *Scheduler) screen(n *node, extra Request, seeds []resource.Config) (res core.Result, ok, substrate bool, trace *telemetry.Tracer, err error) {
-	m, err := s.build(n, &extra)
-	if err != nil {
+	m := server.NewShared(s.topo, s.spec, n.seed, s.cals)
+	if err := s.build(m, n, &extra); err != nil {
 		return core.Result{}, false, false, nil, err
 	}
 	// Screens may run speculatively and be discarded by the reduction,
@@ -553,9 +553,14 @@ func (s *Scheduler) assess(nodes []*node, a arrival) ([]candidate, error) {
 // partition still meets QoS on this node — the guard against load
 // quantization blurring two mixes into one key, at one window instead
 // of a full BO run. Any error demotes the candidate to a full screen.
+// The window runs on the verifier, reset to the node's seed.
 func (s *Scheduler) verify(n *node, req Request, e *profile.Entry) bool {
-	m, err := s.build(n, &req)
-	if err != nil {
+	if s.verifier == nil {
+		s.verifier = server.NewShared(s.topo, s.spec, n.seed, s.cals)
+	}
+	m := s.verifier
+	m.Reset(n.seed)
+	if err := s.build(m, n, &req); err != nil {
 		return false
 	}
 	s.stats.verifyWindows.Inc()

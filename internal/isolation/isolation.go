@@ -42,8 +42,10 @@ const perToolCost = 3 * time.Millisecond
 // Manager owns the actuator state for one machine and converts
 // partition configurations into per-tool settings.
 type Manager struct {
-	topo    resource.Topology
-	applied []Action
+	topo resource.Topology
+	// applied copies the last applied configuration; Applied renders
+	// its actions on demand, off the per-window path.
+	applied resource.Config
 	// cost accumulates simulated actuation time; the paper notes this
 	// is off the hot path (overlappable with the previous window).
 	cost time.Duration
@@ -54,120 +56,133 @@ func NewManager(t resource.Topology) *Manager {
 	return &Manager{topo: t}
 }
 
-// Apply validates the configuration and computes the full set of
-// actuator invocations that realize it, replacing the previous
-// settings. It returns the actions taken.
-func (m *Manager) Apply(cfg resource.Config) ([]Action, error) {
-	if err := cfg.Validate(m.topo); err != nil {
-		return nil, fmt.Errorf("isolation: %w", err)
+// Apply validates the configuration, confirms every resource has an
+// actuator, and replaces the previous settings. A valid configuration
+// gives every job exactly one action per resource, so the actuation
+// cost is counted without rendering them.
+func (m *Manager) Apply(cfg resource.Config) error {
+	if err := m.check(cfg); err != nil {
+		return err
 	}
-	var actions []Action
-	for r, spec := range m.topo {
-		shares := make([]int, cfg.NumJobs())
-		for j := range cfg.Jobs {
-			shares[j] = cfg.Jobs[j][r]
-		}
-		acts, err := renderResource(spec, shares)
-		if err != nil {
-			return nil, err
-		}
-		actions = append(actions, acts...)
-	}
-	m.applied = actions
-	m.cost += time.Duration(len(actions)) * perToolCost
-	return actions, nil
+	m.applied.CopyFrom(cfg)
+	m.cost += time.Duration(len(m.topo)*cfg.NumJobs()) * perToolCost
+	return nil
 }
 
-// Applied returns the last applied action set.
-func (m *Manager) Applied() []Action { return m.applied }
+// check is Apply's admission test: the configuration must be feasible
+// and every resource kind must have a tool.
+func (m *Manager) check(cfg resource.Config) error {
+	if err := cfg.Validate(m.topo); err != nil {
+		return fmt.Errorf("isolation: %w", err)
+	}
+	for _, spec := range m.topo {
+		if _, ok := renderResource(spec, nil, nil); !ok {
+			return fmt.Errorf("isolation: no tool for resource %v", spec.Kind)
+		}
+	}
+	return nil
+}
+
+// Reset forgets the applied settings and cost, like a new manager.
+func (m *Manager) Reset() {
+	m.applied.Jobs = m.applied.Jobs[:0]
+	m.cost = 0
+}
+
+// Applied renders the actuator invocations of the last applied
+// configuration (nil before the first Apply).
+func (m *Manager) Applied() []Action {
+	var actions []Action
+	shares := make([]int, m.applied.NumJobs())
+	for r, spec := range m.topo {
+		for j, a := range m.applied.Jobs {
+			shares[j] = a[r]
+		}
+		actions, _ = renderResource(spec, shares, actions)
+	}
+	return actions
+}
 
 // ActuationCost returns the cumulative simulated actuation latency.
 func (m *Manager) ActuationCost() time.Duration { return m.cost }
 
-// renderResource converts one resource's shares into tool actions.
-func renderResource(spec resource.Spec, shares []int) ([]Action, error) {
+// renderResource appends one resource's tool actions to out. Shares
+// are validated (they sum to the resource's units, so no core block or
+// way mask overflows); ok is false when no tool handles the resource.
+// Nil shares append nothing: Apply's tool check.
+func renderResource(spec resource.Spec, shares []int, out []Action) (actions []Action, ok bool) {
 	switch spec.Kind {
 	case resource.Cores:
-		return renderTaskset(spec, shares)
+		return renderTaskset(spec, shares, out), true
 	case resource.LLCWays:
-		return renderCAT(spec, shares)
+		return renderCAT(spec, shares, out), true
 	case resource.MemBandwidth:
-		return renderPercent(spec, shares, "Intel MBA", "mba")
+		return renderPercent(spec, shares, out, "Intel MBA", "mba"), true
 	case resource.MemCapacity:
-		return renderCapacity(spec, shares, "memory cgroups", "memory.limit_in_bytes")
+		return renderCapacity(spec, shares, out, "memory cgroups", "memory.limit_in_bytes"), true
 	case resource.DiskBandwidth:
-		return renderCapacity(spec, shares, "blkio cgroups", "blkio.throttle")
+		return renderCapacity(spec, shares, out, "blkio cgroups", "blkio.throttle"), true
 	case resource.NetBandwidth:
-		return renderCapacity(spec, shares, "qdisc", "tbf rate")
+		return renderCapacity(spec, shares, out, "qdisc", "tbf rate"), true
 	default:
-		return nil, fmt.Errorf("isolation: no tool for resource %v", spec.Kind)
+		return out, false
 	}
 }
 
 // renderTaskset assigns each job a disjoint, contiguous block of
 // logical CPU ids, the way taskset -c pins co-located jobs.
-func renderTaskset(spec resource.Spec, shares []int) ([]Action, error) {
-	actions := make([]Action, 0, len(shares))
+func renderTaskset(spec resource.Spec, shares []int, out []Action) []Action {
 	next := 0
 	for j, n := range shares {
 		lo, hi := next, next+n-1
-		if hi >= spec.Units {
-			return nil, fmt.Errorf("isolation: core assignment overflows %d cores", spec.Units)
-		}
 		setting := fmt.Sprintf("-c %d-%d", lo, hi)
 		if n == 1 {
 			setting = fmt.Sprintf("-c %d", lo)
 		}
-		actions = append(actions, Action{Tool: "taskset", Kind: spec.Kind, Job: j, Setting: setting})
+		out = append(out, Action{Tool: "taskset", Kind: spec.Kind, Job: j, Setting: setting})
 		next = hi + 1
 	}
-	return actions, nil
+	return out
 }
 
 // renderCAT assigns each job a contiguous way bitmask; Intel CAT
 // requires masks of contiguous set bits.
-func renderCAT(spec resource.Spec, shares []int) ([]Action, error) {
-	actions := make([]Action, 0, len(shares))
+func renderCAT(spec resource.Spec, shares []int, out []Action) []Action {
 	shift := 0
 	for j, n := range shares {
-		if shift+n > spec.Units {
-			return nil, fmt.Errorf("isolation: CAT mask overflows %d ways", spec.Units)
-		}
 		mask := ((1 << n) - 1) << shift
-		actions = append(actions, Action{
+		out = append(out, Action{
 			Tool: "Intel CAT", Kind: spec.Kind, Job: j,
 			Setting: fmt.Sprintf("mask 0x%x", mask),
 		})
 		shift += n
 	}
-	return actions, nil
+	return out
 }
 
 // renderPercent expresses shares as percentages of the resource, the
 // granularity Intel MBA exposes.
-func renderPercent(spec resource.Spec, shares []int, tool, verb string) ([]Action, error) {
-	actions := make([]Action, 0, len(shares))
+func renderPercent(spec resource.Spec, shares []int, out []Action, tool, verb string) []Action {
 	for j, n := range shares {
 		pct := 100 * n / spec.Units
-		actions = append(actions, Action{
+		out = append(out, Action{
 			Tool: tool, Kind: spec.Kind, Job: j,
 			Setting: fmt.Sprintf("%s %d%%", verb, pct),
 		})
 	}
-	return actions, nil
+	return out
 }
 
 // renderCapacity expresses shares in the resource's physical unit.
-func renderCapacity(spec resource.Spec, shares []int, tool, verb string) ([]Action, error) {
-	actions := make([]Action, 0, len(shares))
+func renderCapacity(spec resource.Spec, shares []int, out []Action, tool, verb string) []Action {
 	for j, n := range shares {
 		amount := float64(n) * spec.UnitValue
-		actions = append(actions, Action{
+		out = append(out, Action{
 			Tool: tool, Kind: spec.Kind, Job: j,
 			Setting: fmt.Sprintf("%s %.2f %s", verb, amount, spec.UnitLabel),
 		})
 	}
-	return actions, nil
+	return out
 }
 
 // VerifyDisjoint checks that the current action set partitions every

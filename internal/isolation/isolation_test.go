@@ -1,9 +1,12 @@
 package isolation
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"clite/internal/resource"
 	"clite/internal/stats"
@@ -13,10 +16,10 @@ func TestApplyRendersAllTools(t *testing.T) {
 	topo := resource.Default()
 	m := NewManager(topo)
 	cfg := resource.EqualSplit(topo, 2)
-	actions, err := m.Apply(cfg)
-	if err != nil {
+	if err := m.Apply(cfg); err != nil {
 		t.Fatal(err)
 	}
+	actions := m.Applied()
 	// 5 resources × 2 jobs.
 	if len(actions) != 10 {
 		t.Fatalf("got %d actions, want 10: %v", len(actions), actions)
@@ -40,7 +43,7 @@ func TestApplyRejectsInfeasibleConfig(t *testing.T) {
 	m := NewManager(topo)
 	bad := resource.EqualSplit(topo, 2)
 	bad.Jobs[0][0] = 0
-	if _, err := m.Apply(bad); err == nil {
+	if err := m.Apply(bad); err == nil {
 		t.Error("expected validation error")
 	}
 }
@@ -49,10 +52,10 @@ func TestTasksetRendersDisjointContiguousRanges(t *testing.T) {
 	topo := resource.Default()
 	m := NewManager(topo)
 	cfg := resource.Extremum(topo, 3, 0)
-	actions, err := m.Apply(cfg)
-	if err != nil {
+	if err := m.Apply(cfg); err != nil {
 		t.Fatal(err)
 	}
+	actions := m.Applied()
 	var sets []string
 	for _, a := range actions {
 		if a.Tool == "taskset" {
@@ -72,10 +75,10 @@ func TestCATMasksAreContiguousAndExhaustive(t *testing.T) {
 	topo := resource.Default()
 	m := NewManager(topo)
 	cfg := resource.EqualSplit(topo, 4)
-	actions, err := m.Apply(cfg)
-	if err != nil {
+	if err := m.Apply(cfg); err != nil {
 		t.Fatal(err)
 	}
+	actions := m.Applied()
 	union := 0
 	for _, a := range actions {
 		if a.Tool != "Intel CAT" {
@@ -126,10 +129,10 @@ func TestVerifyDisjointAcceptsValidAndRejectsOverlap(t *testing.T) {
 	topo := resource.Default()
 	m := NewManager(topo)
 	cfg := resource.EqualSplit(topo, 3)
-	actions, err := m.Apply(cfg)
-	if err != nil {
+	if err := m.Apply(cfg); err != nil {
 		t.Fatal(err)
 	}
+	actions := m.Applied()
 	if err := VerifyDisjoint(actions); err != nil {
 		t.Fatalf("valid actions rejected: %v", err)
 	}
@@ -156,11 +159,10 @@ func TestDisjointnessPropertyOnRandomConfigs(t *testing.T) {
 		nJobs := 2 + int(jobsByte%4)
 		cfg := resource.Random(topo, nJobs, rng.Split(seed))
 		m := NewManager(topo)
-		actions, err := m.Apply(cfg)
-		if err != nil {
+		if err := m.Apply(cfg); err != nil {
 			return false
 		}
-		return VerifyDisjoint(actions) == nil
+		return VerifyDisjoint(m.Applied()) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
@@ -171,14 +173,14 @@ func TestActuationCostAccumulates(t *testing.T) {
 	topo := resource.Default()
 	m := NewManager(topo)
 	cfg := resource.EqualSplit(topo, 2)
-	if _, err := m.Apply(cfg); err != nil {
+	if err := m.Apply(cfg); err != nil {
 		t.Fatal(err)
 	}
 	first := m.ActuationCost()
 	if first <= 0 {
 		t.Fatal("expected positive actuation cost")
 	}
-	if _, err := m.Apply(cfg); err != nil {
+	if err := m.Apply(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if m.ActuationCost() != 2*first {
@@ -194,10 +196,10 @@ func TestMBAPercentGranularity(t *testing.T) {
 	topo := resource.Default()
 	m := NewManager(topo)
 	cfg := resource.EqualSplit(topo, 2)
-	actions, err := m.Apply(cfg)
-	if err != nil {
+	if err := m.Apply(cfg); err != nil {
 		t.Fatal(err)
 	}
+	actions := m.Applied()
 	for _, a := range actions {
 		if a.Tool == "Intel MBA" && a.Setting != "mba 50%" {
 			t.Errorf("MBA setting = %q, want 50%% for an equal split", a.Setting)
@@ -218,5 +220,86 @@ func TestActionString(t *testing.T) {
 	a := Action{Tool: "taskset", Job: 2, Setting: "-c 0-3"}
 	if got := a.String(); got != "taskset[job2]: -c 0-3" {
 		t.Errorf("Action.String = %q", got)
+	}
+}
+
+// eagerActions is an independent reference rendering: every job's
+// action for every resource, in the actuator formats spelled out.
+func eagerActions(topo resource.Topology, cfg resource.Config) []Action {
+	var out []Action
+	for r, spec := range topo {
+		next := 0
+		for j, a := range cfg.Jobs {
+			n := a[r]
+			act := Action{Kind: spec.Kind, Job: j}
+			switch spec.Kind {
+			case resource.Cores:
+				act.Tool, act.Setting = "taskset", fmt.Sprintf("-c %d-%d", next, next+n-1)
+				if n == 1 {
+					act.Setting = fmt.Sprintf("-c %d", next)
+				}
+			case resource.LLCWays:
+				act.Tool, act.Setting = "Intel CAT", fmt.Sprintf("mask 0x%x", ((1<<n)-1)<<next)
+			case resource.MemBandwidth:
+				act.Tool, act.Setting = "Intel MBA", fmt.Sprintf("mba %d%%", 100*n/spec.Units)
+			case resource.MemCapacity:
+				act.Tool, act.Setting = "memory cgroups", fmt.Sprintf("memory.limit_in_bytes %.2f %s", float64(n)*spec.UnitValue, spec.UnitLabel)
+			case resource.DiskBandwidth:
+				act.Tool, act.Setting = "blkio cgroups", fmt.Sprintf("blkio.throttle %.2f %s", float64(n)*spec.UnitValue, spec.UnitLabel)
+			case resource.NetBandwidth:
+				act.Tool, act.Setting = "qdisc", fmt.Sprintf("tbf rate %.2f %s", float64(n)*spec.UnitValue, spec.UnitLabel)
+			}
+			out = append(out, act)
+			next += n
+		}
+	}
+	return out
+}
+
+// TestAppliedMatchesEagerRendering checks that rendering on demand
+// shows exactly what Apply used to render eagerly, for the config that
+// was applied — not for whatever the caller later does to its copy —
+// and that the actuation cost still counts one tool call per action.
+func TestAppliedMatchesEagerRendering(t *testing.T) {
+	topo := append(resource.Default(), resource.Spec{Kind: resource.NetBandwidth, Units: 8, UnitValue: 1.25, UnitLabel: "Gb/s"})
+	rng := stats.NewRNG(23)
+	m := NewManager(topo)
+	if m.Applied() != nil {
+		t.Fatal("Applied before any Apply should be nil")
+	}
+	var cost time.Duration
+	for i := 0; i < 200; i++ {
+		cfg := resource.Random(topo, 2+rng.Intn(4), rng)
+		want := eagerActions(topo, cfg)
+		if err := m.Apply(cfg); err != nil {
+			t.Fatal(err)
+		}
+		cost += time.Duration(len(want)) * perToolCost
+		cfg.Jobs[0][0]++ // the manager must hold its own copy
+		got := m.Applied()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("config %d: Applied = %v, want %v", i, got, want)
+		}
+		if err := VerifyDisjoint(got); err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+		if m.ActuationCost() != cost {
+			t.Fatalf("config %d: cost %v, want %v", i, m.ActuationCost(), cost)
+		}
+	}
+}
+
+// TestApplyRejectsUnknownResource keeps the missing-tool error at
+// Apply time, not at Applied: a resource no actuator handles fails the
+// Apply and leaves the manager with nothing applied and no cost.
+func TestApplyRejectsUnknownResource(t *testing.T) {
+	topo := append(resource.Small(), resource.Spec{Kind: resource.Kind(99), Units: 4, UnitValue: 1, UnitLabel: "x"})
+	m := NewManager(topo)
+	err := m.Apply(resource.EqualSplit(topo, 2))
+	if err == nil || !strings.Contains(err.Error(), "no tool") {
+		t.Fatalf("Apply over an unknown resource: err = %v, want a missing-tool error", err)
+	}
+	if m.Applied() != nil || m.ActuationCost() != 0 {
+		t.Errorf("failed Apply changed state: %v, cost %v", m.Applied(), m.ActuationCost())
 	}
 }

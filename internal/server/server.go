@@ -105,9 +105,9 @@ const DefaultWindow = 2.0
 // calibrations shared across machines. A calibration is a pure
 // function of (workload, topology) — the paper derives it offline,
 // once, before any co-location experiment — so there is no reason for
-// every freshly built machine to redo the Fig. 6 load sweep. Cluster
-// schedulers, which rebuild simulated machines per placement trial,
-// hand one shared cache to every build; the first AddLC of a workload
+// every new machine to redo the Fig. 6 load sweep. Cluster schedulers,
+// which build a machine per screen and reset one per verify window,
+// share one cache across all of them; the first AddLC of a workload
 // pays the sweep and every later machine reuses it.
 //
 // A Calibrations value assumes all sharing machines use the same
@@ -183,14 +183,34 @@ type Machine struct {
 // New creates a machine over the topology with a deterministic
 // measurement-noise stream derived from seed.
 func New(topo resource.Topology, spec Spec, seed int64) *Machine {
-	return &Machine{
+	m := &Machine{
 		topo:         topo,
 		spec:         spec,
 		isol:         isolation.NewManager(topo),
-		rng:          stats.NewRNG(seed),
-		window:       DefaultWindow,
 		calibrations: make(map[string]qos.Calibration),
 		fullAlloc:    workload.FullMachine(topo),
+	}
+	m.Reset(seed)
+	return m
+}
+
+// Reset returns the machine to the state New(topology, spec, seed)
+// builds, reusing its storage; the shared calibration cache stays
+// attached. A scheduler observing one node after another resets a
+// single machine instead of building one per trial.
+func (m *Machine) Reset(seed int64) {
+	m.jobs = m.jobs[:0]
+	m.isoP95 = m.isoP95[:0]
+	m.clock = 0
+	m.observations = 0
+	clear(m.calibrations)
+	m.isol.Reset()
+	m.SetTelemetry(nil, nil)
+	m.window = DefaultWindow
+	if m.rng == nil {
+		m.rng = stats.NewRNG(seed)
+	} else {
+		m.rng.Reseed(seed)
 	}
 }
 
@@ -332,7 +352,7 @@ func (m *Machine) AddBG(name string) (int, error) {
 	}
 	m.jobs = append(m.jobs, Job{
 		Workload: p,
-		IsoPerf:  p.IsolationThroughput(m.topo),
+		IsoPerf:  p.Throughput(m.fullAlloc),
 	})
 	m.isoP95 = append(m.isoP95, 0)
 	return len(m.jobs) - 1, nil
@@ -460,7 +480,7 @@ func (m *Machine) observeScaled(cfg resource.Config, noisy bool, scaledJobs []bo
 		return Observation{}, fmt.Errorf("server: config has %d jobs, machine hosts %d", cfg.NumJobs(), len(m.jobs))
 	}
 	if noisy {
-		if _, err := m.isol.Apply(cfg); err != nil {
+		if err := m.isol.Apply(cfg); err != nil {
 			return Observation{}, err
 		}
 		m.clock += m.window

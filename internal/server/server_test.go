@@ -7,6 +7,8 @@ import (
 
 	"clite/internal/resource"
 	"clite/internal/stats"
+	"clite/internal/telemetry"
+	"clite/internal/workload"
 )
 
 func newTestMachine(t *testing.T, seed int64) *Machine {
@@ -422,6 +424,96 @@ func TestLoadRangeRejectsNonFinite(t *testing.T) {
 		}
 		if got := m.Jobs()[0].Load; got != 0.3 {
 			t.Errorf("SetLoad(load=%v) changed the load to %v despite the error", load, got)
+		}
+	}
+}
+
+// TestMachineResetMatchesNew pins Reset to New: a machine put through
+// arbitrary prior use (jobs, windows, a custom window length, attached
+// telemetry) and then reset measures exactly like a freshly built one
+// of the same seed, bit for bit.
+func TestMachineResetMatchesNew(t *testing.T) {
+	topo := resource.Default()
+	cals := NewCalibrations()
+	lc, bg := workload.LC(), workload.BG()
+	rng := stats.NewRNG(17)
+	place := func(m *Machine, nLC, nBG int, names []int, loads []float64) {
+		t.Helper()
+		for i := 0; i < nLC; i++ {
+			if _, err := m.AddLC(lc[names[i]].Name, loads[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < nBG; i++ {
+			if _, err := m.AddBG(bg[names[nLC+i]].Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mix := func() (nLC, nBG int, names []int, loads []float64) {
+		nLC, nBG = 1+rng.Intn(3), rng.Intn(2)
+		for i := 0; i < nLC; i++ {
+			names = append(names, rng.Intn(len(lc)))
+			loads = append(loads, 0.1+0.5*rng.Float64())
+		}
+		for i := 0; i < nBG; i++ {
+			names = append(names, rng.Intn(len(bg)))
+		}
+		return nLC, nBG, names, loads
+	}
+	for trial := 0; trial < 8; trial++ {
+		seed := int64(rng.Intn(1 << 30))
+		m := NewShared(topo, DefaultSpec(), int64(rng.Intn(1<<30)), cals)
+		tr := telemetry.NewTracer()
+		m.SetTelemetry(tr, telemetry.NewRegistry())
+		nLC, nBG, names, loads := mix()
+		place(m, nLC, nBG, names, loads)
+		for i := rng.Intn(4); i >= 0; i-- {
+			if _, err := m.Observe(resource.Random(topo, m.NumJobs(), rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.SetWindow(0.5 + rng.Float64())
+		if _, err := m.Observe(resource.Random(topo, m.NumJobs(), rng)); err != nil {
+			t.Fatal(err)
+		}
+		traced := tr.Len()
+
+		m.Reset(seed)
+		fresh := NewShared(topo, DefaultSpec(), seed, cals)
+		nLC, nBG, names, loads = mix()
+		place(m, nLC, nBG, names, loads)
+		place(fresh, nLC, nBG, names, loads)
+		for w := 0; w < 5; w++ {
+			cfg := resource.Random(topo, fresh.NumJobs(), rng)
+			got, err := m.Observe(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Observe(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.P95 {
+				if math.Float64bits(got.P95[i]) != math.Float64bits(want.P95[i]) ||
+					math.Float64bits(got.Throughput[i]) != math.Float64bits(want.Throughput[i]) ||
+					math.Float64bits(got.NormPerf[i]) != math.Float64bits(want.NormPerf[i]) ||
+					got.QoSMet[i] != want.QoSMet[i] {
+					t.Fatalf("trial %d window %d job %d: reset %+v, new %+v", trial, w, i, got, want)
+				}
+			}
+			if got.At != want.At || got.AllQoSMet != want.AllQoSMet {
+				t.Fatalf("trial %d window %d: reset at %v, new at %v", trial, w, got.At, want.At)
+			}
+		}
+		if m.Observations() != fresh.Observations() || m.Clock() != fresh.Clock() ||
+			m.ActuationCost() != fresh.ActuationCost() || m.Window() != fresh.Window() {
+			t.Fatalf("trial %d: reset (%d windows, clock %v, cost %v, window %v), new (%d, %v, %v, %v)",
+				trial, m.Observations(), m.Clock(), m.ActuationCost(), m.Window(),
+				fresh.Observations(), fresh.Clock(), fresh.ActuationCost(), fresh.Window())
+		}
+		if tr.Len() != traced {
+			t.Fatalf("trial %d: reset machine still traced (%d events, was %d)", trial, tr.Len(), traced)
 		}
 	}
 }

@@ -18,6 +18,10 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
+// Reseed restarts the stream at seed in place: the draws that follow
+// equal NewRNG(seed)'s draw for draw, without allocating a new source.
+func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
+
 // Split derives an independent child stream. The label decorrelates
 // children split from the same parent at different call sites.
 func (g *RNG) Split(label int64) *RNG {

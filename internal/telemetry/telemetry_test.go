@@ -151,6 +151,39 @@ func TestMergeRestampsAndTagsNode(t *testing.T) {
 // The same sequence of emits must serialize to the same bytes — the
 // foundation of the cross-run JSONL determinism tests at higher
 // layers.
+// TestMergeDrainRecyclesSource drains a cell tracer over several
+// epochs: each drain restamps onto the destination and empties the
+// source, and the source's recycled storage never aliases events the
+// destination already holds.
+func TestMergeDrainRecyclesSource(t *testing.T) {
+	dst, src := NewTracer(), NewTracer()
+	var merged []Event
+	for epoch := 0; epoch < 3; epoch++ {
+		for i := 0; i < 4; i++ {
+			src.Emit(PlacementPhase("verify", i, epoch, true))
+		}
+		dst.MergeDrain(src, 64)
+		if src.Len() != 0 {
+			t.Fatalf("epoch %d: source holds %d events after the drain", epoch, src.Len())
+		}
+		got := dst.Events()
+		if len(got) != 4*(epoch+1) {
+			t.Fatalf("epoch %d: destination has %d events", epoch, len(got))
+		}
+		for i, ev := range got {
+			if ev.Step != int64(i)+1 || ev.Node != 64+i%4 || ev.N != i/4 {
+				t.Fatalf("epoch %d: event %d = %+v", epoch, i, ev)
+			}
+		}
+		for i, ev := range merged {
+			if got[i] != ev {
+				t.Fatalf("epoch %d: earlier event %d changed: %+v, was %+v", epoch, i, got[i], ev)
+			}
+		}
+		merged = got
+	}
+}
+
 func TestJSONLDeterministic(t *testing.T) {
 	build := func() *Tracer {
 		tr := NewTracer()

@@ -1,6 +1,9 @@
 package telemetry
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Event kinds. Each kind fixes which Event fields are meaningful; the
 // taxonomy is catalogued in DESIGN.md §10.
@@ -191,7 +194,8 @@ func (t *Tracer) Merge(src *Tracer, node int) {
 
 // MergeDrain atomically takes src's whole timeline, appends it onto t
 // with steps and span ids re-stamped to continue t's sequences, and
-// resets src to empty so the next drain starts fresh. Non-negative
+// resets src to empty so the next drain starts fresh — keeping src's
+// storage, so a tracer drained every epoch stops regrowing. Non-negative
 // Node fields are shifted by nodeShift — how a cell-local tracer's
 // node ids (0..cellNodes-1) are translated into the fleet's global
 // node namespace — while nodeless events (Node < 0) stay unattributed.
@@ -212,6 +216,7 @@ func (t *Tracer) MergeDrain(src *Tracer, nodeShift int) {
 	t.mu.Lock()
 	stepBase := int64(len(t.events))
 	spanBase := t.spans
+	t.events = slices.Grow(t.events, len(events))
 	for _, ev := range events {
 		ev.Step += stepBase
 		if ev.Span != 0 {
@@ -227,6 +232,11 @@ func (t *Tracer) MergeDrain(src *Tracer, nodeShift int) {
 	}
 	t.spans = spanBase + srcSpans
 	t.mu.Unlock()
+	src.mu.Lock()
+	if src.events == nil { // nothing recorded since: recycle the storage
+		src.events = events[:0]
+	}
+	src.mu.Unlock()
 }
 
 // BOIteration records one optimizer step: the acquisition maximum

@@ -140,9 +140,13 @@ func Acronym(name string) string {
 	return name
 }
 
+// table is the registry, built once per process. Profiles are
+// immutable after construction, so every lookup shares them.
+var table = registry()
+
 // All returns every workload profile, LC first, in stable order.
 func All() []*Profile {
-	ps := registry()
+	ps := append([]*Profile(nil), table...)
 	sort.SliceStable(ps, func(i, j int) bool {
 		if ps[i].Class != ps[j].Class {
 			return ps[i].Class == LatencyCritical
@@ -176,7 +180,7 @@ func BG() []*Profile {
 
 // ByName looks a profile up by its Table 3 name.
 func ByName(name string) (*Profile, error) {
-	for _, p := range registry() {
+	for _, p := range table {
 		if p.Name == name {
 			return p, nil
 		}

@@ -255,9 +255,3 @@ func (p *Profile) Throughput(alloc Alloc) float64 {
 	}
 	return float64(s) * speed / p.BaseOpSec
 }
-
-// IsolationThroughput returns the BG throughput with the whole machine
-// (the paper's Iso-Perf denominator in Eq. 3).
-func (p *Profile) IsolationThroughput(t resource.Topology) float64 {
-	return p.Throughput(FullMachine(t))
-}

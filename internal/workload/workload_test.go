@@ -251,7 +251,7 @@ func TestBGSensitivities(t *testing.T) {
 func TestIsolationThroughputIsUpperBound(t *testing.T) {
 	tp := topo()
 	for _, p := range BG() {
-		iso := p.IsolationThroughput(tp)
+		iso := p.Throughput(FullMachine(tp))
 		cfg := resource.EqualSplit(tp, 3)
 		part := p.Throughput(Physical(tp, cfg.Jobs[0]))
 		if part > iso*1.0001 {
@@ -263,7 +263,7 @@ func TestIsolationThroughputIsUpperBound(t *testing.T) {
 func TestThroughputNeverExceedsIsolationProperty(t *testing.T) {
 	tp := topo()
 	sc := MustByName("streamcluster")
-	iso := sc.IsolationThroughput(tp)
+	iso := sc.Throughput(FullMachine(tp))
 	f := func(seed int64) bool {
 		rngCfg := resource.Random(tp, 3, rngFor(seed))
 		v := sc.Throughput(Physical(tp, rngCfg.Jobs[0]))

@@ -7,6 +7,7 @@ import (
 
 	"clite/internal/resource"
 	"clite/internal/stats"
+	"clite/internal/telemetry"
 )
 
 func TestAcquisitionEIKnownValues(t *testing.T) {
@@ -286,19 +287,82 @@ func TestDropoutVariantsStillOptimize(t *testing.T) {
 	}
 }
 
+// TestRunSingleJobDegenerateSpace: one job owns everything, so the
+// space has a single configuration. The engineered bootstrap collapses
+// onto it, and the exhaustion rule stops the run before any
+// acquisition step, with or without warm-start seeds.
 func TestRunSingleJobDegenerateSpace(t *testing.T) {
-	// One job owns everything: the space has a single configuration.
-	topo := resource.Small()
-	calls := 0
-	eval := func(cfg resource.Config) (Evaluation, error) {
-		calls++
-		return Evaluation{Score: 1, JobPerf: []float64{1}}, nil
+	topo := resource.Default()
+	only := resource.EqualSplit(topo, 1)
+	for _, seeds := range [][]resource.Config{nil, {only}} {
+		calls := 0
+		eval := func(cfg resource.Config) (Evaluation, error) {
+			calls++
+			return Evaluation{Score: 1, JobPerf: []float64{1}}, nil
+		}
+		tr := telemetry.NewTracer()
+		res, err := Run(topo, 1, eval, Options{Seed: 10, SeedConfigs: seeds, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != 1 || len(res.Samples) != 1 || res.Iterations != 0 {
+			t.Errorf("seeds %d: %d evaluations, %d samples, %d iterations; want 1, 1, 0",
+				len(seeds), calls, len(res.Samples), res.Iterations)
+		}
+		if !res.Converged || res.Best.Eval.Score != 1 {
+			t.Errorf("seeds %d: converged %t, best %v", len(seeds), res.Converged, res.Best.Eval.Score)
+		}
+		if reason := terminationReason(t, tr); reason != "exhausted" {
+			t.Errorf("seeds %d: termination %q, want exhausted", len(seeds), reason)
+		}
 	}
-	res, err := Run(topo, 1, eval, Options{Seed: 10, MaxIterations: 5})
+}
+
+// TestRunStopsWhenSpaceExhausted: two jobs over two 3-unit resources
+// have 2·2 = 4 feasible configurations. A run with a budget far beyond
+// that samples each exactly once and stops.
+func TestRunStopsWhenSpaceExhausted(t *testing.T) {
+	topo := resource.Topology{
+		{Kind: resource.Cores, Units: 3, UnitValue: 1},
+		{Kind: resource.LLCWays, Units: 3, UnitValue: 1},
+	}
+	if n := topo.ConfigCount(2); n != 4 {
+		t.Fatalf("ConfigCount(2) = %d, want 4", n)
+	}
+	target := resource.Config{Jobs: []resource.Allocation{{2, 1}, {1, 2}}}
+	tr := telemetry.NewTracer()
+	res, err := Run(topo, 2, bowlEval(topo, target), Options{Seed: 3, MaxIterations: 80, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Best.Eval.Score != 1 {
-		t.Error("single-job run should trivially succeed")
+	seen := map[string]bool{}
+	for _, s := range res.Samples {
+		seen[s.Config.Key()] = true
 	}
+	if len(res.Samples) != 4 || len(seen) != 4 {
+		t.Fatalf("%d samples over %d distinct configurations, want 4 and 4", len(res.Samples), len(seen))
+	}
+	if !res.Converged || terminationReason(t, tr) != "exhausted" {
+		t.Errorf("converged %t, termination %q; want an exhausted stop", res.Converged, terminationReason(t, tr))
+	}
+	if !res.Best.Config.Equal(target) {
+		t.Errorf("best %s, want %s", res.Best.Config.Key(), target.Key())
+	}
+}
+
+// terminationReason returns the name of the trace's single
+// termination event.
+func terminationReason(t *testing.T, tr *telemetry.Tracer) string {
+	t.Helper()
+	reason, n := "", 0
+	for _, ev := range tr.Events() {
+		if ev.Kind == telemetry.KindTermination {
+			reason = ev.Name
+			n++
+		}
+	}
+	if n != 1 {
+		t.Fatalf("%d termination events, want 1", n)
+	}
+	return reason
 }

@@ -182,7 +182,7 @@ type Result struct {
 	Best       Sample
 	Samples    []Sample // in evaluation order, bootstrap included
 	Iterations int      // post-bootstrap acquisition steps taken
-	Converged  bool     // true if the EI-drop rule fired (vs. iteration cap)
+	Converged  bool     // true if a termination rule fired (vs. iteration cap)
 	EITrace    []float64
 }
 
@@ -300,6 +300,14 @@ func (r *Runner) Run(eval EvalFunc, opts Options) (Result, error) {
 	reason := "iteration-cap"
 	e.acq = acq
 	for iter := 0; iter < opts.maxIterations(); iter++ {
+		// Exhaustion: every feasible configuration has been sampled
+		// (with one job the space is a single point), so no further
+		// window can teach the surrogate anything.
+		if int64(e.seen.len()) >= e.space {
+			result.Converged = true
+			reason = "exhausted"
+			break
+		}
 		model, err := e.fit(opts.kernelFamily())
 		if err != nil {
 			return Result{}, err
@@ -483,6 +491,7 @@ func (r *Runner) Run(eval EvalFunc, opts Options) (Result, error) {
 type engine struct {
 	topo    resource.Topology
 	nJobs   int
+	space   int64 // feasible configurations: topo.ConfigCount(nJobs)
 	opts    Options
 	samples []Sample
 	seen    seenSet
@@ -513,10 +522,10 @@ type engine struct {
 	// candidate plus GP solve and gradient vectors.
 	scratch sync.Pool
 
-	// means/stds/batchBuf serve bestByPosterior's bulk scoring of the
+	// means/batchBuf serve bestByPosterior's bulk scoring of the
 	// sampled set.
-	means, stds []float64
-	batchBuf    gp.PredictBuf
+	means    []float64
+	batchBuf gp.PredictBuf
 
 	// Per-iteration acquisition state published by Run and read by the
 	// objective methods below. The method values are bound once in
@@ -562,7 +571,7 @@ type engine struct {
 }
 
 func newEngine(topo resource.Topology, nJobs int) *engine {
-	e := &engine{topo: topo, nJobs: nJobs}
+	e := &engine{topo: topo, nJobs: nJobs, space: topo.ConfigCount(nJobs)}
 	e.scratch.New = func() any { return new(predictScratch) }
 	e.eiFn = e.eiObjective
 	e.meanFn = e.meanObjective
@@ -649,6 +658,14 @@ func (s *seenSet) has(cfg resource.Config) bool {
 	return ok
 }
 
+// len returns the number of distinct configurations recorded.
+func (s *seenSet) len() int {
+	if s.packed != nil {
+		return len(s.packed)
+	}
+	return len(s.str)
+}
+
 func (s *seenSet) add(cfg resource.Config) {
 	if s.packed != nil {
 		s.packed[packKey(cfg)] = struct{}{}
@@ -687,7 +704,11 @@ type predictScratch struct {
 func (e *engine) objective(x, grad []float64, meanOnly bool) float64 {
 	s := e.scratch.Get().(*predictScratch)
 	s.row[0] = e.topo.NormalizeInto(s.row[0], x)
-	var dMean, dStd []float64
+	// The posterior mean needs neither σ nor ∇σ.
+	var std, dMean, dStd []float64
+	if !meanOnly {
+		std = s.std[:]
+	}
 	if grad != nil {
 		s.dMean = slices.Grow(s.dMean[:0], len(x))[:len(x)]
 		dMean = s.dMean
@@ -697,7 +718,7 @@ func (e *engine) objective(x, grad []float64, meanOnly bool) float64 {
 		}
 	}
 	val := math.Inf(-1)
-	if err := e.curModel.PredictBatch(s.row[:], s.mean[:], s.std[:], dMean, dStd, &s.buf); err != nil {
+	if err := e.curModel.PredictBatch(s.row[:], s.mean[:], std, dMean, dStd, &s.buf); err != nil {
 		clear(grad)
 	} else {
 		pm, ps := 1.0, 0.0
@@ -849,10 +870,9 @@ func (e *engine) bestByPosterior(model *gp.GP) (int, float64) {
 	n := len(e.samples)
 	if cap(e.means) < n {
 		e.means = make([]float64, n)
-		e.stds = make([]float64, n)
 	}
-	e.means, e.stds = e.means[:n], e.stds[:n]
-	if err := model.PredictBatch(e.normXs[:n], e.means, e.stds, nil, nil, &e.batchBuf); err != nil {
+	e.means = e.means[:n]
+	if err := model.PredictBatch(e.normXs[:n], e.means, nil, nil, nil, &e.batchBuf); err != nil {
 		return 0, math.Inf(-1)
 	}
 	bestIdx, bestMean := 0, math.Inf(-1)

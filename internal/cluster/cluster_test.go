@@ -82,6 +82,26 @@ func TestPlaceRejectsHopelessJob(t *testing.T) {
 	}
 }
 
+// TestSingleJobScreenTakesOneWindow: screening a lone LC job on an
+// empty node searches a one-point partition space, so the search stops
+// after its first window — whether that window admits the job or
+// proves it hopeless.
+func TestSingleJobScreenTakesOneWindow(t *testing.T) {
+	for _, tc := range []struct {
+		load  float64
+		admit bool
+	}{{0.2, true}, {1.4, false}} {
+		s := New(Options{Nodes: 1, Seed: 5, DisableProfileCache: true, DisablePrefilter: true})
+		_, err := s.Place(Request{Workload: "memcached", Load: tc.load})
+		if tc.admit != (err == nil) || (!tc.admit && !errors.Is(err, ErrUnplaceable)) {
+			t.Fatalf("memcached@%g: err = %v, want admitted %t", tc.load, err, tc.admit)
+		}
+		if st := s.Stats(); st.Screens != 1 || st.BOIterations != 1 {
+			t.Errorf("memcached@%g: %d screens, %d BO windows; want 1 and 1", tc.load, st.Screens, st.BOIterations)
+		}
+	}
+}
+
 func TestPlaceBGJobsAlwaysAdmissible(t *testing.T) {
 	s := New(Options{Nodes: 1, Seed: 4})
 	for _, bg := range []string{"swaptions", "canneal"} {

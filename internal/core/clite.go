@@ -88,7 +88,9 @@ type Result struct {
 	// SamplesUsed counts evaluated configurations, bootstrap included
 	// (the Fig. 15a overhead metric).
 	SamplesUsed int
-	// Converged reports whether the EI-drop termination rule fired.
+	// Converged reports whether a BO termination rule (EI drop,
+	// stagnation or exhaustion of the partition space) ended the
+	// search before its iteration cap.
 	Converged bool
 	// QoSMeetable reports whether the best configuration met every LC
 	// job's QoS target.

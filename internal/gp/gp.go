@@ -184,33 +184,31 @@ func (g *GP) Append(x []float64, y float64) error {
 // N returns the number of conditioned samples.
 func (g *GP) N() int { return len(g.x) }
 
-// PredictBuf holds PredictBatch's scratch: m points' covariance rows,
-// solve vectors and kernel-gradient factors packed point-major with
-// stride n, plus one back-substitution vector. Reusing a buffer across
-// calls makes prediction allocation-free — the acquisition maximizer
-// evaluates the posterior thousands of times per BO iteration. A
-// buffer must not be shared between goroutines; give each worker its
-// own (they are cheap and grow on demand).
+// PredictBuf holds PredictBatch's per-point scratch: the covariance
+// row (solved in place into v = L⁻¹k*), the kernel-gradient factors
+// and one back-substitution vector, each of length n. Reusing a buffer
+// across calls makes prediction allocation-free — the acquisition
+// maximizer evaluates the posterior thousands of times per BO
+// iteration. A buffer must not be shared between goroutines; give each
+// worker its own (they are cheap and grow on demand).
 type PredictBuf struct {
-	kFlat, vFlat, cFlat, w []float64
+	k, c, w []float64
 }
 
 // PredictBatch evaluates the posterior mean and standard deviation,
 // in the original (unstandardized) target units, at every xs[i],
-// writing into means[i] and stds[i] (both must have len(xs)) through
-// one reused buffer. It is the model's only posterior path, a single
-// point being a one-row batch. The forward solve runs factor-row-major
-// so each packed Cholesky row is loaded once for all m points instead
-// of once per point. Per point, the operation chain (covariance order,
-// dot order, substitution order) is that of a plain single-point
-// posterior — only the interleaving across points changes, which FP
-// arithmetic cannot observe.
+// writing into means[i] and stds[i] (each of len(xs)) through one
+// reused buffer. It is the model's only posterior path, a single
+// point being a one-row batch. A nil stds skips the forward and back
+// substitutions, which only σ needs; the means are the same either
+// way.
 //
 // dMeans and dStds, when non-nil, receive the gradients ∇μ and ∇σ at
 // each point, packed point-major (len(xs)·dim); nil skips that work,
-// and the values are the same either way. With k* the covariance row,
-// L the Cholesky factor, α = K⁻¹y and v = L⁻¹k* from the forward
-// solve, σ_std = √(σ² − vᵀv), and targets standardized by sdY:
+// and the values are the same either way. dStds needs dMeans and stds
+// as well. With k* the covariance row, L the Cholesky factor,
+// α = K⁻¹y and v = L⁻¹k* from the forward solve,
+// σ_std = √(σ² − vᵀv), and targets standardized by sdY:
 //
 //   - ∇kᵢ = c(rᵢ)·(x − xᵢ)/l², with c = −(5/3)σ²(1+√5r)e^{−√5r} for
 //     Matérn-5/2 and c = −kᵢ for RBF;
@@ -218,10 +216,13 @@ type PredictBuf struct {
 //   - ∇σ = −sdY·Σᵢ wᵢ∇kᵢ/σ_std with w = L⁻ᵀv, one back-substitution
 //     (0 where σ_std = 0).
 func (g *GP) PredictBatch(xs [][]float64, means, stds, dMeans, dStds []float64, buf *PredictBuf) error {
-	if len(means) != len(xs) || len(stds) != len(xs) {
-		return fmt.Errorf("gp: PredictBatch needs %d-slot outputs, got %d/%d", len(xs), len(means), len(stds))
-	}
 	m := len(xs)
+	if len(means) != m || (stds != nil && len(stds) != m) {
+		return fmt.Errorf("gp: PredictBatch needs %d-slot outputs, got %d/%d", m, len(means), len(stds))
+	}
+	if dStds != nil && (dMeans == nil || stds == nil) {
+		return errors.New("gp: PredictBatch needs dMeans and stds alongside dStds")
+	}
 	if m == 0 {
 		return nil
 	}
@@ -234,80 +235,60 @@ func (g *GP) PredictBatch(xs [][]float64, means, stds, dMeans, dStds []float64, 
 			return fmt.Errorf("gp: PredictBatch needs %d-slot gradients, got %d", m*dim, len(d))
 		}
 	}
-	wantGrad := dMeans != nil || dStds != nil
-	buf.kFlat = slices.Grow(buf.kFlat[:0], m*n)[:m*n]
-	buf.vFlat = slices.Grow(buf.vFlat[:0], m*n)[:m*n]
-	if wantGrad {
-		buf.cFlat = slices.Grow(buf.cFlat[:0], m*n)[:m*n]
+	buf.k = slices.Grow(buf.k[:0], n)[:n]
+	var c []float64
+	if dMeans != nil {
+		buf.c = slices.Grow(buf.c[:0], n)[:n]
+		c = buf.c
 	}
-	var dk []float64
+	scale := g.sdY / (g.kernel.lengthScale * g.kernel.lengthScale)
 	for j, x := range xs {
-		if wantGrad {
-			dk = buf.cFlat[j*n : (j+1)*n]
-		}
-		g.kernel.rowInto(g.x, x, buf.kFlat[j*n:(j+1)*n], dk)
-	}
-	// Means: each point's dot runs over its contiguous covariance row.
-	for j := 0; j < m; j++ {
-		means[j] = linalg.Dot(buf.kFlat[j*n:(j+1)*n], g.alpha)*g.sdY + g.meanY
-	}
-	// Batched forward substitution L·v_j = kStar_j: iterate factor rows
-	// outermost so row i is resident while all m points consume it.
-	for i := 0; i < n; i++ {
-		row := g.chol.Row(i)
-		d := row[i]
-		for j := 0; j < m; j++ {
-			v := buf.vFlat[j*n : j*n+i+1]
-			sum := buf.kFlat[j*n+i]
-			for k := 0; k < i; k++ {
-				sum -= row[k] * v[k]
+		k := buf.k
+		g.kernel.rowInto(g.x, x, k, c)
+		means[j] = linalg.Dot(k, g.alpha)*g.sdY + g.meanY
+		var sigma float64
+		if stds != nil {
+			// v = L⁻¹k* overwrites the covariance row, which the mean
+			// has already consumed.
+			g.chol.SolveLowerInto(k, k)
+			varStd := g.kernel.variance - linalg.Dot(k, k)
+			if varStd < 0 {
+				varStd = 0
 			}
-			v[i] = sum / d
+			sigma = math.Sqrt(varStd)
+			stds[j] = sigma * g.sdY
 		}
-	}
-	for j, x := range xs {
-		v := buf.vFlat[j*n : (j+1)*n]
-		varStd := g.kernel.variance - linalg.Dot(v, v)
-		if varStd < 0 {
-			varStd = 0
-		}
-		sigma := math.Sqrt(varStd)
-		stds[j] = sigma * g.sdY
-		if !wantGrad {
+		if dMeans == nil {
 			continue
 		}
 		// ∇μ and ∇σ share the radial factors: accumulate the per-sample
 		// weights aᵢ = sdY·cᵢ·αᵢ/l² and bᵢ = −sdY·cᵢ·wᵢ/(l²·σ_std)
 		// against (x − xᵢ).
-		var dm, ds []float64
-		if dMeans != nil {
-			dm = dMeans[j*dim : (j+1)*dim]
-			clear(dm)
-		}
+		dm := dMeans[j*dim : (j+1)*dim]
+		clear(dm)
+		var ds []float64
 		if dStds != nil {
 			clear(dStds[j*dim : (j+1)*dim])
 			if sigma > 0 {
 				ds = dStds[j*dim : (j+1)*dim]
 				buf.w = slices.Grow(buf.w[:0], n)[:n]
-				g.chol.SolveUpperTInto(v, buf.w)
+				g.chol.SolveUpperTInto(k, buf.w)
 			}
 		}
-		scale := g.sdY / (g.kernel.lengthScale * g.kernel.lengthScale)
-		c := buf.cFlat[j*n : (j+1)*n]
 		for i, xi := range g.x {
+			xi = xi[:len(x)]
 			a := scale * c[i] * g.alpha[i]
-			var b float64
-			if ds != nil {
-				b = -scale * c[i] * buf.w[i] / sigma
+			if ds == nil {
+				for d, xd := range x {
+					dm[d] += a * (xd - xi[d])
+				}
+				continue
 			}
+			b := -scale * c[i] * buf.w[i] / sigma
 			for d, xd := range x {
 				diff := xd - xi[d]
-				if dm != nil {
-					dm[d] += a * diff
-				}
-				if ds != nil {
-					ds[d] += b * diff
-				}
+				dm[d] += a * diff
+				ds[d] += b * diff
 			}
 		}
 	}

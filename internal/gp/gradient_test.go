@@ -161,6 +161,41 @@ func TestPredictBatchGradientsLeaveValuesUnchanged(t *testing.T) {
 	if err := model.PredictBatch(probes, means, stds, dMeans[:dim], nil, &buf); err == nil {
 		t.Fatal("short gradient output accepted")
 	}
+	if err := model.PredictBatch(probes, means, stds, nil, dStds, &buf); err == nil {
+		t.Fatal("dStds without dMeans accepted")
+	}
+}
+
+// TestPredictBatchMeanOnly: with stds nil the posterior skips the
+// substitutions σ needs, and the means and ∇μ it still returns are
+// bit-equal to the full call's.
+func TestPredictBatchMeanOnly(t *testing.T) {
+	model, probes := batchTestModel(t, 1)
+	dim := len(probes[0])
+	m := len(probes)
+	var buf PredictBuf
+	refMeans, refStds := make([]float64, m), make([]float64, m)
+	refDMeans, refDStds := make([]float64, m*dim), make([]float64, m*dim)
+	if err := model.PredictBatch(probes, refMeans, refStds, refDMeans, refDStds, &buf); err != nil {
+		t.Fatal(err)
+	}
+	means, dMeans := make([]float64, m), make([]float64, m*dim)
+	if err := model.PredictBatch(probes, means, nil, dMeans, nil, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for j := range probes {
+		if math.Float64bits(means[j]) != math.Float64bits(refMeans[j]) {
+			t.Fatalf("point %d: mean %v, full call %v", j, means[j], refMeans[j])
+		}
+	}
+	for k := range dMeans {
+		if math.Float64bits(dMeans[k]) != math.Float64bits(refDMeans[k]) {
+			t.Fatalf("gradient entry %d: %v, full call %v", k, dMeans[k], refDMeans[k])
+		}
+	}
+	if err := model.PredictBatch(probes, means, nil, dMeans, refDStds, &buf); err == nil {
+		t.Fatal("dStds without stds accepted")
+	}
 }
 
 // FuzzPosteriorGradient fuzzes the closed-form posterior gradients over

@@ -17,9 +17,10 @@ var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite
 // sample costs the O(n²) forward substitution of AppendRow instead of
 // the O(n³) refactorization a full refit pays.
 //
-// AppendRow and the reference factorization (factorScalar) share one
-// loop and operation order, so a factor grown row by row is
-// byte-identical to one factored from scratch with the same jitter.
+// AppendRow and the reference factorization (factorScalar) compute
+// every entry with the same operation order, so a factor grown row by
+// row is byte-identical to one factored from scratch with the same
+// jitter.
 type Chol struct {
 	n    int
 	data []float64 // len == n·(n+1)/2
@@ -238,15 +239,8 @@ func (c *Chol) AppendRow(k []float64, diag float64) error {
 	c.data = append(c.data, k...)
 	c.data = append(c.data, 0)
 	row := c.data[off : off+c.n+1]
-	// w_j = (k_j − Σ_{t<j} L(j,t)·w_t) / L(j,j), computed in place.
-	for j := 0; j < c.n; j++ {
-		sum := row[j]
-		lj := c.Row(j)
-		for t := 0; t < j; t++ {
-			sum -= lj[t] * row[t]
-		}
-		row[j] = sum / lj[j]
-	}
+	// w = L⁻¹k in place: w_j = (k_j − Σ_{t<j} L(j,t)·w_t) / L(j,j).
+	c.SolveLowerInto(row[:c.n], row[:c.n])
 	d := diag
 	for t := 0; t < c.n; t++ {
 		d -= row[t] * row[t]
@@ -261,20 +255,34 @@ func (c *Chol) AppendRow(k []float64, diag float64) error {
 }
 
 // SolveLowerInto solves L·x = b by forward substitution into x, which
-// must have length N. x may alias b (each b[i] is read before x[i] is
-// written).
+// must have length N. x may alias b. Rows are solved in pairs: both
+// rows' accumulators consume each solved x[k] in one pass, so the inner
+// loop carries two independent dependency chains instead of one. Every
+// accumulator still subtracts L(i,k)·x[k] in increasing k before its
+// division, the exact operation sequence of the one-row substitution,
+// so the result is bit-equal to it.
 func (c *Chol) SolveLowerInto(b, x []float64) {
 	n := c.n
 	if len(b) != n || len(x) != n {
 		panic(fmt.Sprintf("linalg: SolveLowerInto dimension mismatch %d/%d vs %d", len(b), len(x), n))
 	}
-	for i := 0; i < n; i++ {
-		sum := b[i]
-		row := c.Row(i)
-		for k := 0; k < i; k++ {
-			sum -= row[k] * x[k]
+	copy(x, b)
+	// An odd leading row has nothing to subtract; pairs follow it.
+	i := n % 2
+	if i == 1 {
+		x[0] /= c.data[0]
+	}
+	for ; i < n; i += 2 {
+		r0, r1 := c.Row(i), c.Row(i+1)
+		s0, s1 := x[i], x[i+1]
+		l0, l1 := r0[:i], r1[:i]
+		for k, xk := range x[:i] {
+			s0 -= l0[k] * xk
+			s1 -= l1[k] * xk
 		}
-		x[i] = sum / row[i]
+		s0 /= r0[i]
+		s1 -= r1[i] * s0
+		x[i], x[i+1] = s0, s1/r1[i+1]
 	}
 }
 

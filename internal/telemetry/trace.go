@@ -395,8 +395,8 @@ func BudgetExhausted(at float64, subject string, id int, consumed float64) Event
 }
 
 // Termination records why a search ended ("ei-drop", "stagnation",
-// "iteration-cap", "infeasible", "fallback"), with the sample count
-// and best objective score at that point.
+// "exhausted", "iteration-cap", "infeasible", "fallback"), with the
+// sample count and best objective score at that point.
 func Termination(reason string, samples int, best float64) Event {
 	return Event{
 		Kind: KindTermination, Name: reason, At: -1,

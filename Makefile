@@ -95,7 +95,8 @@ trace:
 # byte-identity, blocked-vs-scalar Cholesky byte-identity, the GP's
 # closed-form posterior gradients against central differences, the
 # lint //lint:allow directive grammar, the fact-cache codec round
-# trip, and the tsq trace reader on truncated and malformed JSONL.
+# trip, the tsq trace reader on truncated and malformed JSONL, and the
+# lazily seeded noise source against math/rand's, draw for draw.
 fuzzsmoke:
 	go test -run '^$$' -fuzz FuzzMixKeyRoundTrip -fuzztime 5s ./internal/profile
 	go test -run '^$$' -fuzz FuzzCholAppendVsRefit -fuzztime 5s ./internal/linalg
@@ -104,6 +105,7 @@ fuzzsmoke:
 	go test -run '^$$' -fuzz FuzzDirectiveParse -fuzztime 5s ./internal/analysis
 	go test -run '^$$' -fuzz FuzzFactCacheRoundTrip -fuzztime 5s ./internal/analysis
 	go test -run '^$$' -fuzz FuzzLoad -fuzztime 5s ./internal/obs
+	go test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 5s ./internal/stats
 
 # chaossmoke runs the failover experiment's coarse sweep (scheduled
 # leader death, a 25% per-command death rate, quorum loss) and fails

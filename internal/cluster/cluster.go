@@ -101,8 +101,9 @@ type Options struct {
 	// calibration store, so a fleet of schedulers pays each workload's
 	// calibration sweep once rather than once per scheduler.
 	// Calibrations are pure per-workload functions of the topology, so
-	// sharing them never perturbs a decision. nil keeps a private
-	// per-scheduler store.
+	// sharing them never perturbs a decision. nil uses the profile
+	// cache's memo, so solo profiles and machines sweep each workload
+	// once between them.
 	SharedCalibrations *server.Calibrations
 	// Faults optionally injects observation faults into every
 	// screening run — the warehouse's measurement plane is no more
@@ -282,7 +283,7 @@ func New(opts Options) *Scheduler {
 	}
 	cals := opts.SharedCalibrations
 	if cals == nil {
-		cals = server.NewCalibrations()
+		cals = profiles.Calibrations()
 	}
 	s := &Scheduler{
 		opts:     opts,

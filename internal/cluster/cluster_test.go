@@ -8,7 +8,39 @@ import (
 	"testing"
 
 	"clite/internal/faults"
+	"clite/internal/profile"
+	"clite/internal/resource"
+	"clite/internal/server"
 )
+
+// TestOneCalibrationMemo pins the calibration memo to one per profile
+// hub: with no SharedCalibrations, a scheduler's machines read the
+// same memo as the profile cache's solo profiles (an overlay's being
+// its hub's), so each workload is swept once; an explicit
+// SharedCalibrations still takes precedence.
+func TestOneCalibrationMemo(t *testing.T) {
+	hub := profile.NewCache(resource.Default())
+	overlay := profile.NewOverlay(hub)
+	if overlay.Calibrations() != hub.Calibrations() {
+		t.Fatal("overlay keeps its own calibration memo")
+	}
+	s := New(Options{Nodes: 2, Seed: 3, ScreenIterations: 8, ScreenWorkers: 1, SharedProfiles: overlay})
+	if s.cals != hub.Calibrations() {
+		t.Fatal("scheduler does not use the profile cache's calibration memo")
+	}
+	for _, req := range []Request{{Workload: "memcached", Load: 0.2}, {Workload: "img-dnn", Load: 0.2}} {
+		if _, err := s.Place(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := hub.Calibrations().Len(); n != 2 {
+		t.Errorf("shared memo holds %d calibrations after placing two LC workloads, want 2", n)
+	}
+	own := server.NewCalibrations()
+	if s := New(Options{Nodes: 1, SharedProfiles: overlay, SharedCalibrations: own}); s.cals != own {
+		t.Error("SharedCalibrations is not used when set")
+	}
+}
 
 func TestRequestClassification(t *testing.T) {
 	if !(Request{Workload: "memcached", Load: 0.2}).IsLC() {

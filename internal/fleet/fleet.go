@@ -43,7 +43,6 @@ import (
 	"clite/internal/par"
 	"clite/internal/profile"
 	"clite/internal/resource"
-	"clite/internal/server"
 	"clite/internal/telemetry"
 )
 
@@ -283,7 +282,6 @@ func New(opts Options) (*Fleet, error) {
 	if hub == nil {
 		hub = profile.NewCache(resource.Default())
 	}
-	cals := server.NewCalibrations()
 	numCells := (opts.Nodes + opts.CellNodes - 1) / opts.CellNodes
 	if opts.Shards > numCells {
 		opts.Shards = numCells
@@ -314,13 +312,12 @@ func New(opts Options) (*Fleet, error) {
 			cache: overlay,
 			trace: ct,
 			sched: cluster.New(cluster.Options{
-				Nodes:              n,
-				Seed:               opts.Seed + int64(i)*1_000_003,
-				ScreenIterations:   opts.ScreenIterations,
-				ScreenWorkers:      1,
-				SharedProfiles:     overlay,
-				SharedCalibrations: cals,
-				Trace:              ct,
+				Nodes:            n,
+				Seed:             opts.Seed + int64(i)*1_000_003,
+				ScreenIterations: opts.ScreenIterations,
+				ScreenWorkers:    1,
+				SharedProfiles:   overlay,
+				Trace:            ct,
 			}),
 		})
 	}

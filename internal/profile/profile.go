@@ -52,7 +52,6 @@ import (
 	"sync"
 
 	"clite/internal/core"
-	"clite/internal/qos"
 	"clite/internal/resource"
 	"clite/internal/server"
 	"clite/internal/workload"
@@ -321,7 +320,7 @@ type Cache struct {
 	topo resource.Topology
 
 	// analytics, when non-nil, is the hub cache this overlay delegates
-	// its solo-profile and calibration memoization to (see NewOverlay).
+	// its solo-profile memoization to (see NewOverlay).
 	// Solo profiles are pure functions of (workload, load bucket) and
 	// topology, so sharing them across overlays is deterministic; mix
 	// entries stay private to each overlay.
@@ -332,8 +331,10 @@ type Cache struct {
 	bySig   map[string][]*Entry // insertion order per signature
 	journal []*Entry            // entries in Store order, for EntriesSince
 	solo    map[soloKey]*Solo
-	cal     map[string]qos.Calibration
 	stats   Stats
+
+	// cals memoizes QoS calibrations; an overlay shares its hub's.
+	cals *server.Calibrations
 }
 
 // soloKey indexes solo profiles by workload and solo bucket.
@@ -344,12 +345,16 @@ type soloKey struct {
 
 // NewCache returns an empty cache over the node topology.
 func NewCache(topo resource.Topology) *Cache {
+	return newCache(topo, server.NewCalibrations())
+}
+
+func newCache(topo resource.Topology, cals *server.Calibrations) *Cache {
 	return &Cache{
 		topo:    topo,
 		entries: make(map[string]*Entry),
 		bySig:   make(map[string][]*Entry),
 		solo:    make(map[soloKey]*Solo),
-		cal:     make(map[string]qos.Calibration),
+		cals:    cals,
 	}
 }
 
@@ -363,10 +368,15 @@ func NewCache(topo resource.Topology) *Cache {
 // EntriesSince + Store, so cache evolution never depends on how many
 // shards ran concurrently.
 func NewOverlay(hub *Cache) *Cache {
-	c := NewCache(hub.topo)
+	c := newCache(hub.topo, hub.cals)
 	c.analytics = hub
 	return c
 }
+
+// Calibrations returns the QoS calibration memo the cache's solo
+// profiles use (an overlay's is its hub's), so schedulers can share it
+// with their machines instead of sweeping each workload again.
+func (c *Cache) Calibrations() *server.Calibrations { return c.cals }
 
 // Lookup returns the entry stored under the exact mix.
 func (c *Cache) Lookup(mix Mix) (*Entry, bool) {
@@ -556,7 +566,7 @@ func (c *Cache) computeSolo(name string, load float64) (*Solo, error) {
 		}
 		return s, nil
 	}
-	cal, err := c.calibration(p)
+	cal, err := c.cals.Calibration(p, c.topo)
 	if err != nil {
 		return nil, err
 	}
@@ -592,30 +602,6 @@ func (c *Cache) computeSolo(name string, load float64) (*Solo, error) {
 		probe[r] = full[r]
 	}
 	return s, nil
-}
-
-// calibration memoizes the qos.Calibrate sweep per workload.
-func (c *Cache) calibration(p *workload.Profile) (qos.Calibration, error) {
-	if c.analytics != nil {
-		return c.analytics.calibration(p)
-	}
-	c.mu.Lock()
-	if cal, ok := c.cal[p.Name]; ok {
-		c.mu.Unlock()
-		return cal, nil
-	}
-	c.mu.Unlock()
-	cal, err := qos.Calibrate(p, c.topo)
-	if err != nil {
-		return qos.Calibration{}, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev, ok := c.cal[p.Name]; ok {
-		return prev, nil
-	}
-	c.cal[p.Name] = cal
-	return cal, nil
 }
 
 // Demand is the admission pre-filter's running state for one mix:

@@ -107,12 +107,12 @@ const DefaultWindow = 2.0
 // once, before any co-location experiment — so there is no reason for
 // every new machine to redo the Fig. 6 load sweep. Cluster schedulers,
 // which build a machine per screen and reset one per verify window,
-// share one cache across all of them; the first AddLC of a workload
-// pays the sweep and every later machine reuses it.
+// share one cache across all of them, and the profile cache's solo
+// profiles read the same one; the first AddLC or solo profile of a
+// workload pays the sweep and every later caller reuses it.
 //
-// A Calibrations value assumes all sharing machines use the same
-// topology (entries are keyed by workload name, matching the
-// per-machine map it replaces).
+// A Calibrations value assumes all its callers use the same topology
+// (entries are keyed by workload name).
 type Calibrations struct {
 	mu sync.Mutex
 	m  map[string]qos.Calibration
@@ -130,23 +130,28 @@ func (c *Calibrations) Len() int {
 	return len(c.m)
 }
 
-// get returns the cached calibration for the workload, if any.
-func (c *Calibrations) get(name string) (qos.Calibration, bool) {
+// Calibration returns the workload's calibration over topo, running
+// the qos.Calibrate sweep on first use. The sweep runs outside the
+// lock; when two callers race on one workload, first write wins (the
+// sweep is deterministic, so either copy is the same value).
+func (c *Calibrations) Calibration(p *workload.Profile, topo resource.Topology) (qos.Calibration, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	cal, ok := c.m[name]
-	return cal, ok
-}
-
-// put stores a calibration, first write wins.
-func (c *Calibrations) put(name string, cal qos.Calibration) qos.Calibration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev, ok := c.m[name]; ok {
-		return prev
+	cal, ok := c.m[p.Name]
+	c.mu.Unlock()
+	if ok {
+		return cal, nil
 	}
-	c.m[name] = cal
-	return cal
+	cal, err := qos.Calibrate(p, topo)
+	if err != nil {
+		return qos.Calibration{}, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if prev, ok := c.m[p.Name]; ok {
+		return prev, nil
+	}
+	c.m[p.Name] = cal
+	return cal, nil
 }
 
 // Machine is the simulated server.
@@ -312,19 +317,14 @@ func (m *Machine) AddLC(name string, load float64) (int, error) {
 		return 0, fmt.Errorf("server: load %v out of range (0, 1.5]", load)
 	}
 	cal, ok := m.calibrations[name]
-	if !ok && m.shared != nil {
-		cal, ok = m.shared.get(name)
-	}
 	if !ok {
-		cal, err = qos.Calibrate(p, m.topo)
+		if m.shared != nil {
+			cal, err = m.shared.Calibration(p, m.topo)
+		} else {
+			cal, err = qos.Calibrate(p, m.topo)
+		}
 		if err != nil {
 			return 0, err
-		}
-		if m.shared != nil {
-			// First write wins, so two machines racing to calibrate
-			// the same workload converge on one entry (the sweep is
-			// deterministic, so either copy is the same value).
-			cal = m.shared.put(name, cal)
 		}
 	}
 	m.calibrations[name] = cal

@@ -9,17 +9,26 @@ import (
 // (each job's arrival process, each policy's stochastic choices) owns
 // its own RNG split off a root seed, so experiments are reproducible
 // and components do not perturb each other's streams when code changes.
+//
+// The draws are math/rand's: a rand.Rand over a copy of its
+// lagged-Fibonacci source (source.go) that matches rand.NewSource
+// draw for draw but seeds lazily.
 type RNG struct {
-	r *rand.Rand
+	r   *rand.Rand
+	src source
 }
 
 // NewRNG returns a stream seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := &RNG{}
+	g.src.Seed(seed)
+	g.r = rand.New(&g.src)
+	return g
 }
 
 // Reseed restarts the stream at seed in place: the draws that follow
-// equal NewRNG(seed)'s draw for draw, without allocating a new source.
+// equal NewRNG(seed)'s draw for draw. It costs O(1) and allocates
+// nothing, so a verify window can reseed its machine per observation.
 func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
 
 // Split derives an independent child stream. The label decorrelates

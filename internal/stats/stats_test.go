@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -190,40 +191,45 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
-// TestReseedReplaysNewRNG pins Reseed to NewRNG: a stream that has
-// already been drawn from, once reseeded, replays a fresh stream of
-// the same seed draw for draw across every draw kind.
+// TestReseedReplaysNewRNG pins both ways of starting a stream to
+// math/rand: a fresh NewRNG, and one that has already been drawn from
+// and is then reseeded, replay rand.New(rand.NewSource(seed)) draw for
+// draw across every draw kind.
 func TestReseedReplaysNewRNG(t *testing.T) {
 	pick := NewRNG(11)
-	for trial := 0; trial < 5; trial++ {
+	for trial := 0; trial < 10; trial++ {
 		seed := int64(pick.Intn(1 << 30))
-		g := NewRNG(seed + 1)
-		for i := pick.Intn(200); i > 0; i-- {
-			g.Normal(0, 1)
+		reseeded := NewRNG(seed + 1)
+		for i := pick.Intn(2 * rngLen); i > 0; i-- {
+			reseeded.Normal(0, 1)
 		}
-		g.Reseed(seed)
-		ref := NewRNG(seed)
-		var bufG, bufRef []int
-		for i := 0; i < 1000; i++ {
-			var got, want float64
-			switch pick.Intn(4) {
-			case 0:
-				got, want = g.Float64(), ref.Float64()
-			case 1:
-				got, want = g.Normal(1, 2), ref.Normal(1, 2)
-			case 2:
-				got, want = float64(g.Intn(97)), float64(ref.Intn(97))
-			default:
-				n := 1 + pick.Intn(9)
-				bufG, bufRef = g.PermInto(n, bufG), ref.PermInto(n, bufRef)
-				for k := range bufRef {
-					if bufG[k] != bufRef[k] {
-						t.Fatalf("seed %d draw %d: PermInto %v, want %v", seed, i, bufG, bufRef)
+		reseeded.Reseed(seed)
+		for _, g := range []*RNG{NewRNG(seed), reseeded} {
+			ref := rand.New(rand.NewSource(seed))
+			var buf []int
+			for i := 0; i < 1000; i++ {
+				var got, want float64
+				switch pick.Intn(5) {
+				case 0:
+					got, want = g.Float64(), ref.Float64()
+				case 1:
+					got, want = g.Normal(1, 2), 1+2*ref.NormFloat64()
+				case 2:
+					got, want = g.Exponential(3), ref.ExpFloat64()*3
+				case 3:
+					got, want = float64(g.Intn(97)), float64(ref.Intn(97))
+				default:
+					n := 1 + pick.Intn(9)
+					buf = g.PermInto(n, buf)
+					for k, v := range ref.Perm(n) {
+						if buf[k] != v {
+							t.Fatalf("seed %d draw %d: PermInto %v, want math/rand's Perm element %d = %d", seed, i, buf, k, v)
+						}
 					}
 				}
-			}
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("seed %d draw %d: %v, want %v", seed, i, got, want)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d draw %d: %v, want math/rand's %v", seed, i, got, want)
+				}
 			}
 		}
 	}

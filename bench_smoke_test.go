@@ -64,12 +64,9 @@ func TestBenchSmoke(t *testing.T) {
 			t.Errorf("%s missing from the suite", name)
 		}
 	}
-	// The end-to-end benches record their spread over repeated runs
-	// around the median they report.
+	// Every bench records its spread over repeated runs around the
+	// median it reports.
 	for _, r := range results {
-		if r.Name != "ClusterPlace" && r.Name != "FleetPlace" && r.Name != "CLITERun" {
-			continue
-		}
 		lo, hi := r.Extra["ns_per_op_min"], r.Extra["ns_per_op_max"]
 		if lo <= 0 || lo > r.NsPerOp || hi < r.NsPerOp {
 			t.Errorf("%s: spread [%v, %v] does not bracket the median %v", r.Name, lo, hi, r.NsPerOp)

@@ -82,32 +82,29 @@ type bench struct {
 	extra func() map[string]float64
 }
 
-// spec is one suite entry. The three end-to-end numbers (one
-// controller convergence, one cluster admission, one fleet run) are
-// measured endToEndRepeats times, the rest once.
+// spec is one suite entry.
 type spec struct {
 	name string
 	make func(cfg Config) bench
-	reps int
 }
 
-// endToEndRepeats is how many times Run measures an end-to-end bench.
-// The result reports the median run's ns/op (and its B/op and
-// allocs/op), with the fastest and slowest runs' ns/op kept as
-// ns_per_op_min and ns_per_op_max in Extra, so the evidence file
-// carries its own spread.
-const endToEndRepeats = 5
+// repeats is how many times Run measures every bench. The result
+// reports the median run's ns/op (and its B/op and allocs/op), with
+// the fastest and slowest runs' ns/op kept as ns_per_op_min and
+// ns_per_op_max in Extra, so the evidence file carries its own spread
+// and one disturbed run cannot move a gated row.
+const repeats = 5
 
 func suite() []spec {
 	return []spec{
-		{"GPFit", gpFit, 1},
-		{"GPPredict", gpPredict, 1},
-		{"AcquisitionMaximize", acquisitionMaximize, 1},
-		{"OracleSweep", oracleSweep, 1},
-		{"BOEngineIteration", boEngineIteration, 1},
-		{"CLITERun", cliteRun, endToEndRepeats},
-		{"ClusterPlace", clusterPlace, endToEndRepeats},
-		{"FleetPlace", fleetPlace, endToEndRepeats},
+		{"GPFit", gpFit},
+		{"GPPredict", gpPredict},
+		{"AcquisitionMaximize", acquisitionMaximize},
+		{"OracleSweep", oracleSweep},
+		{"BOEngineIteration", boEngineIteration},
+		{"CLITERun", cliteRun},
+		{"ClusterPlace", clusterPlace},
+		{"FleetPlace", fleetPlace},
 	}
 }
 
@@ -120,20 +117,18 @@ func Run(cfg Config) []Result {
 	var out []Result
 	for _, s := range suite() {
 		b := s.make(cfg)
-		runs := make([]Result, s.reps)
+		runs := make([]Result, repeats)
 		for i := range runs {
 			runs[i] = measureOnce(s.name, b)
 		}
 		sort.Slice(runs, func(i, j int) bool { return runs[i].NsPerOp < runs[j].NsPerOp })
-		res := runs[s.reps/2]
+		res := runs[repeats/2]
 		res.Extra = map[string]float64{}
 		if b.extra != nil {
 			res.Extra = b.extra()
 		}
-		if s.reps > 1 {
-			res.Extra["ns_per_op_min"] = runs[0].NsPerOp
-			res.Extra["ns_per_op_max"] = runs[s.reps-1].NsPerOp
-		}
+		res.Extra["ns_per_op_min"] = runs[0].NsPerOp
+		res.Extra["ns_per_op_max"] = runs[repeats-1].NsPerOp
 		out = append(out, res)
 	}
 	return out
@@ -621,7 +616,10 @@ func fleetPlace(cfg Config) bench {
 		if err != nil {
 			panic(err)
 		}
-		if sum.Placements == 0 {
+		// A short quick-mode run can draw no arrivals at all (seed 1087
+		// does); only a run that had jobs to place and placed none is
+		// broken.
+		if sum.Arrivals > 0 && sum.Placements == 0 {
 			panic("fleetPlace: fleet placed nothing")
 		}
 		return sum, time.Since(start)

@@ -25,10 +25,9 @@
 package cluster
 
 import (
-	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"clite/internal/bo"
@@ -222,7 +221,6 @@ type Scheduler struct {
 	mu       sync.Mutex
 	opts     Options
 	topo     resource.Topology
-	spec     server.Spec
 	nodes    []*node
 	cals     *server.Calibrations
 	profiles *profile.Cache
@@ -231,10 +229,13 @@ type Scheduler struct {
 
 	// Per-call buffers, reused under mu: the live-node order, the
 	// candidates of the current assessment, the arena their packed
-	// keys live in, and the screening representatives.
+	// keys live in, the assessment's cache memo, and the screening
+	// representatives.
 	order    []*node
+	starts   []int // placeOrder's occupancy buckets
 	cands    []candidate
 	keys     []byte
+	memo     passMemo
 	reps     []*candidate
 	verifier *server.Machine // reset for each verify window, all under mu
 }
@@ -288,7 +289,6 @@ func New(opts Options) *Scheduler {
 	s := &Scheduler{
 		opts:     opts,
 		topo:     topo,
-		spec:     server.DefaultSpec(),
 		cals:     cals,
 		profiles: profiles,
 		stats:    newStatCounters(reg),
@@ -355,6 +355,14 @@ func (s *Scheduler) build(m *server.Machine, n *node, extra *Request) error {
 	return nil
 }
 
+// phase records one PlacementPhase event. The untraced path builds no
+// event: assess and verify call this once per candidate.
+func (s *Scheduler) phase(name string, node, n int, ok bool) {
+	if s.trace != nil {
+		s.trace.Emit(telemetry.PlacementPhase(name, node, n, ok))
+	}
+}
+
 // faultPlan derives the per-screen fault stream from the cluster-level
 // plan. The derivation depends only on the node id and its occupancy —
 // never on wall time or goroutine order — so concurrent screening
@@ -374,7 +382,7 @@ func (s *Scheduler) faultPlan(n *node) faults.Plan {
 // (the window was lost, not the co-location disproved): the candidate
 // is treated as infeasible for this placement but nothing is cached.
 func (s *Scheduler) screen(n *node, extra Request, seeds []resource.Config) (res core.Result, ok, substrate bool, trace *telemetry.Tracer, err error) {
-	m := server.NewShared(s.topo, s.spec, n.seed, s.cals)
+	m := server.NewShared(s.topo, server.DefaultSpec(), n.seed, s.cals)
 	if err := s.build(m, n, &extra); err != nil {
 		return core.Result{}, false, false, nil, err
 	}
@@ -500,10 +508,18 @@ func (s *Scheduler) leave(n *node, i int) error {
 // candidate node via the pre-filter and the profile cache. It runs
 // under the scheduler lock before any goroutine is spawned, so lookup
 // order — and with it every Stats counter — is deterministic. The
-// returned candidates live in the scheduler's buffer until the next
-// call.
+// cache is asked about each distinct mix once per pass (see lookup);
+// every candidate still counts its own hit or miss. The returned
+// candidates live in the scheduler's buffer until the next call.
 func (s *Scheduler) assess(nodes []*node, a arrival) ([]candidate, error) {
+	if cap(s.cands) < len(nodes) {
+		s.cands = make([]candidate, 0, len(nodes)) // sized once, not grown by doubling
+	}
 	s.cands, s.keys = s.cands[:0], s.keys[:0]
+	if !s.opts.DisableProfileCache {
+		s.memo.reset(len(nodes))
+		defer func() { s.profiles.Credit(s.memo.hits, s.memo.misses, s.memo.nearHits) }()
+	}
 	for _, n := range nodes {
 		s.cands = append(s.cands, candidate{n: n})
 		c := &s.cands[len(s.cands)-1]
@@ -515,7 +531,7 @@ func (s *Scheduler) assess(nodes []*node, a arrival) ([]candidate, error) {
 			if !n.demand.Admits(s.topo, a.solo) {
 				c.kind = candSkip
 				s.stats.prefilterRejects.Inc()
-				s.trace.Emit(telemetry.PlacementPhase("prefilter-reject", n.id, jobs, false))
+				s.phase("prefilter-reject", n.id, jobs, false)
 				continue
 			}
 		}
@@ -526,9 +542,10 @@ func (s *Scheduler) assess(nodes []*node, a arrival) ([]candidate, error) {
 		start := len(s.keys)
 		s.keys = profile.AppendInsert(s.keys, n.mix, a.job)
 		c.key = s.keys[start:len(s.keys):len(s.keys)]
-		if e, ok := s.profiles.Lookup(c.key); ok {
+		l := s.lookup(c.key, jobs)
+		if e := l.entry; e != nil {
 			s.stats.cacheHits.Inc()
-			s.trace.Emit(telemetry.PlacementPhase("cache-hit", n.id, jobs, e.Feasible))
+			s.phase("cache-hit", n.id, jobs, e.Feasible)
 			if e.Feasible {
 				c.kind = candCached
 				c.entry = e
@@ -539,15 +556,98 @@ func (s *Scheduler) assess(nodes []*node, a arrival) ([]candidate, error) {
 		}
 		s.stats.cacheMisses.Inc()
 		c.kind = candScreen
-		if donor, ok := s.profiles.LookupNear(c.key, profile.NearTolerance); ok {
-			if seeds := donor.SeedsFor(jobs); len(seeds) > 0 {
-				c.seeds = seeds
-				s.stats.cacheNearHits.Inc()
-				s.trace.Emit(telemetry.PlacementPhase("cache-near-hit", n.id, len(seeds), true))
-			}
+		if len(l.seeds) > 0 {
+			c.seeds = l.seeds
+			s.stats.cacheNearHits.Inc()
+			s.phase("cache-near-hit", n.id, len(l.seeds), true)
 		}
 	}
 	return s.cands, nil
+}
+
+// lookup answers what the profile cache holds for a candidate key of
+// jobs jobs: the exact entry or, on a miss, the near donor's seeds.
+// Only the first candidate with a key asks the cache; later ones read
+// the pass memo and are counted for the cache's Stats at the end of
+// the pass. The scheduler stores to the cache only in commit, never
+// during assess, so the memo answers what a second lookup would; if
+// another scheduler sharing the cache stores mid-pass, the memo answers
+// as of the key's first lookup, a state the cache did pass through.
+func (s *Scheduler) lookup(key profile.Mix, jobs int) *memoLookup {
+	l, seen := s.memo.find(key)
+	switch {
+	case !seen:
+		l.entry, _ = s.profiles.Lookup(key)
+		if l.entry == nil {
+			if l.donor, _ = s.profiles.LookupNear(key, profile.NearTolerance); l.donor != nil {
+				l.seeds = l.donor.SeedsFor(jobs)
+			}
+		}
+	case l.entry != nil:
+		s.memo.hits++
+	default:
+		s.memo.misses++
+		if l.donor != nil {
+			s.memo.nearHits++
+		}
+	}
+	return l
+}
+
+// passMemo is assess's per-pass memo of profile-cache answers by mix
+// key: an open-addressed table of indexes into looks, reused across
+// passes so a warm scheduler allocates nothing for it.
+type passMemo struct {
+	slots []int32 // 1 + index into looks; 0 is empty. Length a power of two.
+	looks []memoLookup
+	// Repeats answered from the memo, owed to the cache's Stats.
+	hits, misses, nearHits int
+}
+
+// memoLookup is one distinct key's answer.
+type memoLookup struct {
+	key   profile.Mix
+	entry *profile.Entry    // exact hit; nil on a miss
+	donor *profile.Entry    // near donor on a miss, if any
+	seeds []resource.Config // donor.SeedsFor(jobs), shared by the key's candidates
+}
+
+// reset empties the memo for a pass over n candidates, keeping the
+// table at most half full.
+func (m *passMemo) reset(n int) {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	if len(m.slots) < size {
+		m.slots = make([]int32, size)
+	} else {
+		clear(m.slots)
+	}
+	m.looks = m.looks[:0]
+	m.hits, m.misses, m.nearHits = 0, 0, 0
+}
+
+// find returns key's memo slot and whether an earlier candidate filled
+// it; a new slot is zero but for its key.
+func (m *passMemo) find(key profile.Mix) (*memoLookup, bool) {
+	// A key is a run of 4-byte jobs; hash it a job at a time (FNV-1a).
+	h := uint32(2166136261)
+	for i := 0; i+4 <= len(key); i += 4 {
+		h = (h ^ binary.LittleEndian.Uint32(key[i:])) * 16777619
+	}
+	h ^= h >> 16
+	mask := uint32(len(m.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if m.slots[i] == 0 {
+			m.looks = append(m.looks, memoLookup{key: key})
+			m.slots[i] = int32(len(m.looks))
+			return &m.looks[len(m.looks)-1], false
+		}
+		if l := &m.looks[m.slots[i]-1]; string(l.key) == string(key) {
+			return l, true
+		}
+	}
 }
 
 // verify spends one observation window checking that a cached
@@ -557,7 +657,7 @@ func (s *Scheduler) assess(nodes []*node, a arrival) ([]candidate, error) {
 // The window runs on the verifier, reset to the node's seed.
 func (s *Scheduler) verify(n *node, req Request, e *profile.Entry) bool {
 	if s.verifier == nil {
-		s.verifier = server.NewShared(s.topo, s.spec, n.seed, s.cals)
+		s.verifier = server.NewShared(s.topo, server.DefaultSpec(), n.seed, s.cals)
 	}
 	m := s.verifier
 	m.Reset(n.seed)
@@ -571,7 +671,7 @@ func (s *Scheduler) verify(n *node, req Request, e *profile.Entry) bool {
 	}
 	obs, err := observer.Observe(e.Result.Best)
 	ok := err == nil && obs.AllQoSMet
-	s.trace.Emit(telemetry.PlacementPhase("verify", n.id, 1, ok))
+	s.phase("verify", n.id, 1, ok)
 	return ok
 }
 
@@ -672,7 +772,7 @@ func (s *Scheduler) commit(c *candidate, r screenOut) {
 	// trace here, under the lock, in reduction order — the only point
 	// where speculative work becomes observable.
 	s.trace.Merge(r.trace, c.n.id)
-	s.trace.Emit(telemetry.PlacementPhase("screen", c.n.id, r.res.SamplesUsed, r.ok))
+	s.phase("screen", c.n.id, r.res.SamplesUsed, r.ok)
 	if r.substrate || s.opts.DisableProfileCache {
 		return
 	}
@@ -689,7 +789,7 @@ func (s *Scheduler) admit(n *node, a arrival, res core.Result) Placement {
 	n.last = res
 	n.lastOK = true
 	s.stats.placements.Inc()
-	s.trace.Emit(telemetry.PlacementPhase("admit", n.id, len(n.requests), true))
+	s.phase("admit", n.id, len(n.requests), true)
 	return Placement{Node: n.id, Result: res}
 }
 
@@ -760,7 +860,7 @@ func (s *Scheduler) Place(req Request) (p Placement, err error) {
 		return s.admit(verified.n, a, verified.entry.Result), nil
 	}
 	s.stats.rejections.Inc()
-	s.trace.Emit(telemetry.PlacementPhase("reject", -1, len(cands), false))
+	s.phase("reject", -1, len(cands), false)
 	return Placement{}, ErrUnplaceable
 }
 
@@ -796,19 +896,39 @@ func (s *Scheduler) Remove(id int, req Request) error {
 		}
 		n.last = core.Result{}
 		n.lastOK = false
-		s.trace.Emit(telemetry.PlacementPhase("release", id, len(n.requests), true))
+		s.phase("release", id, len(n.requests), true)
 		return nil
 	}
 	return fmt.Errorf("%w: %s on node %d", ErrNotPlaced, req.Workload, id)
 }
 
 // placeOrder returns the live nodes least-loaded first, ties in id
-// order: the order Place tries them in.
+// order: the order Place tries them in, in the scheduler's reusable
+// buffer (valid until the next call). Occupancy is a small integer, so
+// a stable counting pass over the id-ordered nodes replaces a sort:
+// starts[k] is where the nodes hosting k jobs begin.
 func (s *Scheduler) placeOrder() []*node {
-	order := s.live()
-	slices.SortStableFunc(order, func(a, b *node) int {
-		return cmp.Compare(len(a.requests), len(b.requests))
-	})
+	starts, live := s.starts[:0], 0
+	for _, n := range s.nodes {
+		if !n.failed {
+			for len(starts) < len(n.requests)+2 {
+				starts = append(starts, 0)
+			}
+			starts[len(n.requests)+1]++
+			live++
+		}
+	}
+	for k := 1; k < len(starts); k++ {
+		starts[k] += starts[k-1]
+	}
+	order := append(s.order[:0], make([]*node, live)...)
+	for _, n := range s.nodes {
+		if !n.failed {
+			order[starts[len(n.requests)]] = n
+			starts[len(n.requests)]++
+		}
+	}
+	s.starts, s.order = starts, order
 	return order
 }
 
@@ -866,7 +986,7 @@ func (s *Scheduler) FailNode(id int) ([]Outcome, error) {
 	n.demand.Reset()
 	n.last = core.Result{}
 	n.lastOK = false
-	s.trace.Emit(telemetry.PlacementPhase("fail-node", id, len(drained), false))
+	s.phase("fail-node", id, len(drained), false)
 
 	order := make([]Request, 0, len(drained))
 	for _, r := range drained {
@@ -958,7 +1078,7 @@ func (s *Scheduler) rehome(req Request) (Placement, error) {
 	s.join(n, a)
 	n.last = *pick.res
 	n.lastOK = true
-	s.trace.Emit(telemetry.PlacementPhase("rehome", n.id, len(n.requests), true))
+	s.phase("rehome", n.id, len(n.requests), true)
 	return Placement{Node: n.id, Result: *pick.res}, nil
 }
 

@@ -84,12 +84,12 @@ func tailWith(pw, mu, theta, t float64) float64 {
 	if t <= 0 {
 		return 1
 	}
+	sTail := math.Exp(-mu * t)
 	if math.Abs(mu-theta) < 1e-9*mu {
 		// Degenerate case μ ≈ θ: S+E is Gamma(2, μ).
-		return (1-pw)*math.Exp(-mu*t) + pw*(1+mu*t)*math.Exp(-mu*t)
+		return (1-pw)*sTail + pw*(1+mu*t)*sTail
 	}
-	sTail := math.Exp(-mu * t)
-	convTail := (mu*math.Exp(-theta*t) - theta*math.Exp(-mu*t)) / (mu - theta)
+	convTail := (mu*math.Exp(-theta*t) - theta*sTail) / (mu - theta)
 	return (1-pw)*sTail + pw*convTail
 }
 
@@ -97,7 +97,10 @@ func tailWith(pw, mu, theta, t float64) float64 {
 // p-th percentile (p in (0,100)) of the sojourn time in seconds. The
 // Erlang-C waiting probability is invariant across the bisection, so
 // it is computed once and shared by every tail probe (the recurrence
-// is O(c) and would otherwise dominate the 80-step search).
+// is O(c) and would otherwise dominate the 80-step search). The search
+// stops early once the bracket is two adjacent floats: from then on
+// every midpoint equals lo or hi, so the remaining steps cannot move
+// the result.
 func (q Queue) ResponsePercentile(lambda, p float64) float64 {
 	if q.Utilization(lambda) >= 1 {
 		return math.Inf(1)
@@ -112,6 +115,9 @@ func (q Queue) ResponsePercentile(lambda, p float64) float64 {
 	lo := 0.0
 	for i := 0; i < 80; i++ {
 		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			return mid
+		}
 		if tailWith(pw, mu, theta, mid) > target {
 			lo = mid
 		} else {

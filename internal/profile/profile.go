@@ -391,6 +391,21 @@ func (c *Cache) Lookup(mix Mix) (*Entry, bool) {
 	return e, ok
 }
 
+// Credit counts hits, misses and near hits that a caller answered on
+// the cache's behalf from a memo of earlier Lookup and LookupNear
+// results for the same mix within one pass, so Stats keeps counting
+// one lookup per question asked.
+func (c *Cache) Credit(hits, misses, nearHits int) {
+	if hits == 0 && misses == 0 && nearHits == 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stats.Hits += hits
+	c.stats.Misses += misses
+	c.stats.NearHits += nearHits
+}
+
 // NearTolerance is the default per-job load distance within which a
 // cached mix may warm-start the search for a new one: two quantization
 // buckets.

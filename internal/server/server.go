@@ -13,6 +13,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -101,26 +102,44 @@ func (j Job) Lambda() float64 { return j.Load * j.MaxQPS }
 // p95 (Sec. 4).
 const DefaultWindow = 2.0
 
-// Calibrations is a concurrency-safe cache of per-workload QoS
-// calibrations shared across machines. A calibration is a pure
-// function of (workload, topology) — the paper derives it offline,
-// once, before any co-location experiment — so there is no reason for
-// every new machine to redo the Fig. 6 load sweep. Cluster schedulers,
-// which build a machine per screen and reset one per verify window,
-// share one cache across all of them, and the profile cache's solo
-// profiles read the same one; the first AddLC or solo profile of a
-// workload pays the sweep and every later caller reuses it.
+// Calibrations is a concurrency-safe cache of the pure per-workload
+// functions machines need at AddLC: QoS calibrations and isolation
+// p95s. A calibration is a pure function of (workload, topology) — the
+// paper derives it offline, once, before any co-location experiment —
+// so there is no reason for every new machine to redo the Fig. 6 load
+// sweep. Likewise an LC job's isolation p95 (its p95 with the whole
+// machine, the NormPerf baseline) depends only on (workload, λ,
+// window). Cluster schedulers, which build a machine per screen and
+// reset one per verify window, share one cache across all of them, and
+// the profile cache's solo profiles read the same one; the first AddLC
+// or solo profile of a workload pays the sweep, the first AddLC at a
+// given rate pays the isolation p95, and every later caller reuses
+// them.
 //
 // A Calibrations value assumes all its callers use the same topology
 // (entries are keyed by workload name).
 type Calibrations struct {
-	mu sync.Mutex
-	m  map[string]qos.Calibration
+	mu  sync.Mutex
+	m   map[string]qos.Calibration
+	iso map[isoKey]float64
 }
+
+// isoKey is an isolation p95's exact argument tuple: the workload and
+// the bit patterns of λ and the window.
+type isoKey struct {
+	workload       string
+	lambda, window uint64
+}
+
+// isoMemoCap bounds the isolation-p95 memo. A fleet sees a few dozen
+// distinct (workload, load) pairs; a long-lived service fed arbitrary
+// loads would otherwise grow the memo without limit. Past the cap,
+// values are computed and not stored.
+const isoMemoCap = 4096
 
 // NewCalibrations returns an empty shared calibration cache.
 func NewCalibrations() *Calibrations {
-	return &Calibrations{m: make(map[string]qos.Calibration)}
+	return &Calibrations{m: make(map[string]qos.Calibration), iso: make(map[isoKey]float64)}
 }
 
 // Len reports how many workloads have been calibrated.
@@ -152,6 +171,28 @@ func (c *Calibrations) Calibration(p *workload.Profile, topo resource.Topology) 
 	}
 	c.m[p.Name] = cal
 	return cal, nil
+}
+
+// IsoP95 returns p.P95(full, lambda, window), the workload's p95 with
+// the whole machine (full is workload.FullMachine of the callers'
+// common topology), computing it on first use of the exact (workload,
+// λ, window) triple. Like Calibration, it computes outside the lock;
+// callers racing on one key compute the same value.
+func (c *Calibrations) IsoP95(p *workload.Profile, full workload.Alloc, lambda, window float64) float64 {
+	key := isoKey{p.Name, math.Float64bits(lambda), math.Float64bits(window)}
+	c.mu.Lock()
+	v, ok := c.iso[key]
+	c.mu.Unlock()
+	if ok {
+		return v
+	}
+	v = p.P95(full, lambda, window)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.iso) < isoMemoCap {
+		c.iso[key] = v
+	}
+	return v
 }
 
 // Machine is the simulated server.
@@ -219,12 +260,16 @@ func (m *Machine) Reset(seed int64) {
 	}
 }
 
-// refreshIso recomputes job i's cached isolation p95. It is a no-op
-// for background jobs (their Iso-Perf normalizer is sampled once at
-// AddBG time).
+// refreshIso recomputes job i's cached isolation p95, through the
+// shared memo when the machine has one. It is a no-op for background
+// jobs (their Iso-Perf normalizer is sampled once at AddBG time).
 func (m *Machine) refreshIso(i int) {
 	j := m.jobs[i]
-	if j.IsLC() {
+	switch {
+	case !j.IsLC():
+	case m.shared != nil:
+		m.isoP95[i] = m.shared.IsoP95(j.Workload, m.fullAlloc, j.Lambda(), m.window)
+	default:
 		m.isoP95[i] = j.Workload.P95(m.fullAlloc, j.Lambda(), m.window)
 	}
 }

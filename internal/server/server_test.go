@@ -517,3 +517,74 @@ func TestMachineResetMatchesNew(t *testing.T) {
 		}
 	}
 }
+
+// TestIsoP95Memo checks the shared isolation-p95 memo against a direct
+// full-machine P95, bit for bit: on the miss that stores, on the hit
+// that reads, for a λ one ulp away (a distinct key), and past the cap,
+// where values are still exact but no longer stored. Machines with and
+// without the memo must then report the same NormPerf.
+func TestIsoP95Memo(t *testing.T) {
+	topo := resource.Default()
+	full := workload.FullMachine(topo)
+	p, err := workload.ByName("memcached")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cals := NewCalibrations()
+	check := func(lambda, window float64) {
+		t.Helper()
+		got, want := cals.IsoP95(p, full, lambda, window), p.P95(full, lambda, window)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("IsoP95(λ=%v, window=%v) = %v, direct P95 %v", lambda, window, got, want)
+		}
+	}
+	const lambda = 12345.678
+	check(lambda, DefaultWindow) // miss
+	check(lambda, DefaultWindow) // hit
+	check(math.Nextafter(lambda, 0), DefaultWindow)
+	check(lambda, 1)
+	if n := len(cals.iso); n != 3 {
+		t.Fatalf("memo holds %d entries after 3 distinct keys, want 3", n)
+	}
+	for i := len(cals.iso); i < isoMemoCap+10; i++ {
+		check(1000+float64(i), DefaultWindow)
+	}
+	if n := len(cals.iso); n != isoMemoCap {
+		t.Fatalf("memo grew to %d entries, cap %d", n, isoMemoCap)
+	}
+	check(lambda, DefaultWindow) // still a hit
+	check(999.5, DefaultWindow)  // past the cap: computed, not stored
+	if _, ok := cals.iso[isoKey{p.Name, math.Float64bits(999.5), math.Float64bits(DefaultWindow)}]; ok {
+		t.Error("a value past the cap was stored")
+	}
+
+	shared := NewShared(topo, DefaultSpec(), 1, NewCalibrations())
+	plain := newTestMachine(t, 1)
+	for _, m := range []*Machine{shared, plain} {
+		if _, err := m.AddLC("memcached", 0.3); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.AddLC("img-dnn", 0.2); err != nil {
+			t.Fatal(err)
+		}
+		m.SetWindow(1.5)
+		if err := m.SetLoad(0, 0.45); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := resource.NewConfig(topo, 2)
+	for r := range topo {
+		cfg.Jobs[0][r] = topo[r].Units / 2
+		cfg.Jobs[1][r] = topo[r].Units - topo[r].Units/2
+	}
+	a, errA := shared.ObserveIdeal(cfg)
+	b, errB := plain.ObserveIdeal(cfg)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	for i := range a.NormPerf {
+		if math.Float64bits(a.NormPerf[i]) != math.Float64bits(b.NormPerf[i]) {
+			t.Errorf("job %d NormPerf %v with the memo, %v without", i, a.NormPerf[i], b.NormPerf[i])
+		}
+	}
+}

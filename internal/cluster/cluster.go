@@ -25,9 +25,10 @@
 package cluster
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"clite/internal/bo"
@@ -183,20 +184,26 @@ type Stats struct {
 // a new (screen) or reset (verify) machine with the node's seed and
 // jobs — the cleanest way to express "what if this job also ran here".
 //
-// mix and demand summarize requests for the assessment pass and move
-// with it at every site that changes it (admit, Remove, FailNode,
-// rehome): mix while the profile cache is on, demand while the
-// pre-filter is on. Audit recomputes both from requests.
+// mix, demand and solos summarize requests for the assessment pass and
+// move with it at the sites that change it (join, leave, FailNode):
+// mix while the profile cache is on, demand and solos while the
+// pre-filter is on. class interns mix and demand (see classTable).
+// Audit recomputes all four from requests.
+//
+// The fields placeOrder and assess read for every node come first, so
+// they share a cache line ahead of the large last result.
 type node struct {
 	id       int
-	seed     int64 // machine seed, fixed at construction
+	class    int32 // id of (mix, demand) in Scheduler.classes
+	failed   bool
 	requests []Request
-	scratch  []Request // reused per-trial request slice (build)
+	seed     int64           // machine seed, fixed at construction
+	solos    []*profile.Solo // requests' solo profiles, index for index (pre-filter on)
+	scratch  []Request       // reused per-trial request slice (build)
+	mix      profile.Mix     // packed canonical mix of requests
+	demand   profile.Demand  // summed solo minima of requests
 	last     core.Result
 	lastOK   bool
-	failed   bool
-	mix      profile.Mix    // packed canonical mix of requests
-	demand   profile.Demand // summed solo minima of requests
 }
 
 // allBG reports whether the node's jobs plus req are all background
@@ -227,15 +234,18 @@ type Scheduler struct {
 	stats    statCounters
 	trace    *telemetry.Tracer
 
+	classes classTable
+
 	// Per-call buffers, reused under mu: the live-node order, the
 	// candidates of the current assessment, the arena their packed
-	// keys live in, the assessment's cache memo, and the screening
-	// representatives.
+	// keys live in, the per-class verdicts of the current pass (pass
+	// numbers the passes), and the screening representatives.
 	order    []*node
 	starts   []int // placeOrder's occupancy buckets
 	cands    []candidate
 	keys     []byte
-	memo     passMemo
+	verdicts []verdict // by class id
+	pass     uint64
 	reps     []*candidate
 	verifier *server.Machine // reset for each verify window, all under mu
 }
@@ -302,6 +312,7 @@ func New(opts Options) *Scheduler {
 		backing[i] = node{id: i, seed: opts.Seed + int64(i)*1009}
 		s.nodes[i] = &backing[i]
 	}
+	s.classes = newClassTable(len(backing), s.appendState(nil, nil, &profile.Demand{}))
 	return s
 }
 
@@ -355,12 +366,17 @@ func (s *Scheduler) build(m *server.Machine, n *node, extra *Request) error {
 	return nil
 }
 
-// phase records one PlacementPhase event. The untraced path builds no
-// event: assess and verify call this once per candidate.
+// phase records one PlacementPhase event. assess and verify call it
+// once per candidate, so it stays small enough to inline: untraced, it
+// is one nil check and builds no event.
 func (s *Scheduler) phase(name string, node, n int, ok bool) {
 	if s.trace != nil {
-		s.trace.Emit(telemetry.PlacementPhase(name, node, n, ok))
+		s.emitPhase(name, node, n, ok)
 	}
+}
+
+func (s *Scheduler) emitPhase(name string, node, n int, ok bool) {
+	s.trace.Emit(telemetry.PlacementPhase(name, node, n, ok))
 }
 
 // faultPlan derives the per-screen fault stream from the cluster-level
@@ -474,8 +490,8 @@ func (s *Scheduler) resolve(req Request) arrival {
 	return a
 }
 
-// join adds an admitted request to the node, keeping its mix and
-// demand in step.
+// join adds an admitted request to the node, keeping its mix, demand,
+// solos and class in step.
 func (s *Scheduler) join(n *node, a arrival) {
 	n.requests = append(n.requests, a.Request)
 	if !s.opts.DisableProfileCache {
@@ -483,171 +499,161 @@ func (s *Scheduler) join(n *node, a arrival) {
 	}
 	if !s.opts.DisablePrefilter {
 		n.demand.Add(a.solo)
+		n.solos = append(n.solos, a.solo)
 	}
+	s.reclass(n)
 }
 
-// leave removes the node's i-th request, keeping its mix and demand in
-// step. The request was admitted, so its solo profile is memoized.
-func (s *Scheduler) leave(n *node, i int) error {
+// leave removes the node's i-th request, keeping its mix, demand, solos
+// and class in step. The solo profile is the one the request was
+// admitted with, so a departure looks nothing up.
+func (s *Scheduler) leave(n *node, i int) {
 	r := n.requests[i]
 	if !s.opts.DisablePrefilter {
-		solo, err := s.profiles.Solo(r.Workload, r.Load)
-		if err != nil {
-			return err
-		}
-		n.demand.Sub(solo)
+		n.demand.Sub(n.solos[i])
+		n.solos = append(n.solos[:i], n.solos[i+1:]...)
 	}
 	if !s.opts.DisableProfileCache {
 		n.mix, _ = n.mix.Delete(profile.Pack(r.Workload, r.Load))
 	}
 	n.requests = append(n.requests[:i], n.requests[i+1:]...)
-	return nil
+	s.reclass(n)
 }
 
 // assess is phase 0 of the pipeline: sequentially classify every
 // candidate node via the pre-filter and the profile cache. It runs
 // under the scheduler lock before any goroutine is spawned, so lookup
-// order — and with it every Stats counter — is deterministic. The
-// cache is asked about each distinct mix once per pass (see lookup);
-// every candidate still counts its own hit or miss. The returned
-// candidates live in the scheduler's buffer until the next call.
+// order — and with it every Stats counter — is deterministic. Each
+// node class is judged once per pass, by its first candidate (see
+// judge); later candidates of the class copy the verdict. Every
+// candidate still counts its own outcome and emits its own phase
+// event, and the counts reach the ledger and the cache's Stats once,
+// when the pass ends. The returned candidates live in the scheduler's
+// buffer until the next call.
 func (s *Scheduler) assess(nodes []*node, a arrival) ([]candidate, error) {
 	if cap(s.cands) < len(nodes) {
 		s.cands = make([]candidate, 0, len(nodes)) // sized once, not grown by doubling
 	}
 	s.cands, s.keys = s.cands[:0], s.keys[:0]
-	if !s.opts.DisableProfileCache {
-		s.memo.reset(len(nodes))
-		defer func() { s.profiles.Credit(s.memo.hits, s.memo.misses, s.memo.nearHits) }()
+	if n := len(s.classes.refs); len(s.verdicts) < n {
+		s.verdicts = append(s.verdicts, make([]verdict, n-len(s.verdicts))...)
 	}
+	s.pass++
+	var t tally
+	defer s.settle(&t)
 	for _, n := range nodes {
-		s.cands = append(s.cands, candidate{n: n})
+		v := &s.verdicts[n.class]
+		if v.pass != s.pass {
+			if err := s.judge(v, n, a); err != nil {
+				return nil, err
+			}
+		} else {
+			t.repeat(v)
+		}
+		// Set field by field: a composite literal would be built and
+		// then block-copied, once per candidate.
+		s.cands = s.cands[:len(s.cands)+1]
 		c := &s.cands[len(s.cands)-1]
+		c.n, c.key, c.kind, c.entry, c.seeds, c.ok, c.res = n, v.key, v.kind, v.entry, v.seeds, false, nil
 		jobs := len(n.requests) + 1
-		if !s.opts.DisablePrefilter {
-			if n.demand.Feasible() && a.soloErr != nil {
-				return nil, a.soloErr
+		switch {
+		case v.rejected:
+			t.prefilterRejects++
+			s.phase("prefilter-reject", n.id, jobs, false)
+		case v.key == nil: // profile cache off
+		case v.hit:
+			t.hits++
+			s.phase("cache-hit", n.id, jobs, v.entry != nil)
+		default:
+			t.misses++
+			if len(v.seeds) > 0 {
+				t.nearHits++
+				s.phase("cache-near-hit", n.id, len(v.seeds), true)
 			}
-			if !n.demand.Admits(s.topo, a.solo) {
-				c.kind = candSkip
-				s.stats.prefilterRejects.Inc()
-				s.phase("prefilter-reject", n.id, jobs, false)
-				continue
-			}
-		}
-		if s.opts.DisableProfileCache {
-			c.kind = candScreen
-			continue
-		}
-		start := len(s.keys)
-		s.keys = profile.AppendInsert(s.keys, n.mix, a.job)
-		c.key = s.keys[start:len(s.keys):len(s.keys)]
-		l := s.lookup(c.key, jobs)
-		if e := l.entry; e != nil {
-			s.stats.cacheHits.Inc()
-			s.phase("cache-hit", n.id, jobs, e.Feasible)
-			if e.Feasible {
-				c.kind = candCached
-				c.entry = e
-			} else {
-				c.kind = candSkip
-			}
-			continue
-		}
-		s.stats.cacheMisses.Inc()
-		c.kind = candScreen
-		if len(l.seeds) > 0 {
-			c.seeds = l.seeds
-			s.stats.cacheNearHits.Inc()
-			s.phase("cache-near-hit", n.id, len(l.seeds), true)
 		}
 	}
 	return s.cands, nil
 }
 
-// lookup answers what the profile cache holds for a candidate key of
-// jobs jobs: the exact entry or, on a miss, the near donor's seeds.
-// Only the first candidate with a key asks the cache; later ones read
-// the pass memo and are counted for the cache's Stats at the end of
-// the pass. The scheduler stores to the cache only in commit, never
-// during assess, so the memo answers what a second lookup would; if
-// another scheduler sharing the cache stores mid-pass, the memo answers
-// as of the key's first lookup, a state the cache did pass through.
-func (s *Scheduler) lookup(key profile.Mix, jobs int) *memoLookup {
-	l, seen := s.memo.find(key)
+// verdict is one node class's assessment in one pass.
+type verdict struct {
+	pass     uint64 // the pass that judged it; older verdicts are stale
+	kind     candKind
+	rejected bool              // the pre-filter turned the class away
+	key      profile.Mix       // class mix plus the arrival, when the cache was asked; aliases Scheduler.keys
+	hit      bool              // the cache held the key
+	entry    *profile.Entry    // a feasible hit
+	donor    bool              // on a miss, the cache found a near donor
+	seeds    []resource.Config // the donor's SeedsFor the candidate's job count
+}
+
+// judge fills v with the verdict for n's class: the pre-filter's, then
+// the profile cache's. Two classes may share a key (same mix, different
+// demand); each asks the cache, which counts per question either way.
+// The scheduler stores to the cache only in commit, never during
+// assess, so a second question gets the first one's answer; if another
+// scheduler sharing the cache stores mid-pass, each class's answer is a
+// state the cache did pass through.
+func (s *Scheduler) judge(v *verdict, n *node, a arrival) error {
+	*v = verdict{pass: s.pass, kind: candScreen}
+	if !s.opts.DisablePrefilter {
+		if n.demand.Feasible() && a.soloErr != nil {
+			return a.soloErr
+		}
+		if !n.demand.Admits(s.topo, a.solo) {
+			v.kind, v.rejected = candSkip, true
+			return nil
+		}
+	}
+	if s.opts.DisableProfileCache {
+		return nil
+	}
+	start := len(s.keys)
+	s.keys = profile.AppendInsert(s.keys, n.mix, a.job)
+	v.key = s.keys[start:len(s.keys):len(s.keys)]
+	if e, _ := s.profiles.Lookup(v.key); e != nil {
+		v.hit, v.kind = true, candSkip
+		if e.Feasible {
+			v.entry, v.kind = e, candCached
+		}
+		return nil
+	}
+	if donor, _ := s.profiles.LookupNear(v.key, profile.NearTolerance); donor != nil {
+		v.donor = true
+		v.seeds = donor.SeedsFor(len(n.requests) + 1)
+	}
+	return nil
+}
+
+// tally is one assess pass's counter movement: the ledger's four
+// per-candidate counters, and the repeats owed to the cache's Stats.
+type tally struct {
+	prefilterRejects, hits, misses, nearHits int64
+	credHits, credMisses, credNear           int
+}
+
+// repeat counts, for the cache's Stats, the question a repeat of v's
+// class would have asked.
+func (t *tally) repeat(v *verdict) {
 	switch {
-	case !seen:
-		l.entry, _ = s.profiles.Lookup(key)
-		if l.entry == nil {
-			if l.donor, _ = s.profiles.LookupNear(key, profile.NearTolerance); l.donor != nil {
-				l.seeds = l.donor.SeedsFor(jobs)
-			}
-		}
-	case l.entry != nil:
-		s.memo.hits++
+	case v.key == nil: // the cache was not asked
+	case v.hit:
+		t.credHits++
 	default:
-		s.memo.misses++
-		if l.donor != nil {
-			s.memo.nearHits++
+		t.credMisses++
+		if v.donor {
+			t.credNear++
 		}
 	}
-	return l
 }
 
-// passMemo is assess's per-pass memo of profile-cache answers by mix
-// key: an open-addressed table of indexes into looks, reused across
-// passes so a warm scheduler allocates nothing for it.
-type passMemo struct {
-	slots []int32 // 1 + index into looks; 0 is empty. Length a power of two.
-	looks []memoLookup
-	// Repeats answered from the memo, owed to the cache's Stats.
-	hits, misses, nearHits int
-}
-
-// memoLookup is one distinct key's answer.
-type memoLookup struct {
-	key   profile.Mix
-	entry *profile.Entry    // exact hit; nil on a miss
-	donor *profile.Entry    // near donor on a miss, if any
-	seeds []resource.Config // donor.SeedsFor(jobs), shared by the key's candidates
-}
-
-// reset empties the memo for a pass over n candidates, keeping the
-// table at most half full.
-func (m *passMemo) reset(n int) {
-	size := 16
-	for size < 2*n {
-		size *= 2
-	}
-	if len(m.slots) < size {
-		m.slots = make([]int32, size)
-	} else {
-		clear(m.slots)
-	}
-	m.looks = m.looks[:0]
-	m.hits, m.misses, m.nearHits = 0, 0, 0
-}
-
-// find returns key's memo slot and whether an earlier candidate filled
-// it; a new slot is zero but for its key.
-func (m *passMemo) find(key profile.Mix) (*memoLookup, bool) {
-	// A key is a run of 4-byte jobs; hash it a job at a time (FNV-1a).
-	h := uint32(2166136261)
-	for i := 0; i+4 <= len(key); i += 4 {
-		h = (h ^ binary.LittleEndian.Uint32(key[i:])) * 16777619
-	}
-	h ^= h >> 16
-	mask := uint32(len(m.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		if m.slots[i] == 0 {
-			m.looks = append(m.looks, memoLookup{key: key})
-			m.slots[i] = int32(len(m.looks))
-			return &m.looks[len(m.looks)-1], false
-		}
-		if l := &m.looks[m.slots[i]-1]; string(l.key) == string(key) {
-			return l, true
-		}
-	}
+// settle adds a pass's tally to the ledger and the cache's Stats.
+func (s *Scheduler) settle(t *tally) {
+	s.stats.prefilterRejects.Add(t.prefilterRejects)
+	s.stats.cacheHits.Add(t.hits)
+	s.stats.cacheMisses.Add(t.misses)
+	s.stats.cacheNearHits.Add(t.nearHits)
+	s.profiles.Credit(t.credHits, t.credMisses, t.credNear)
 }
 
 // verify spends one observation window checking that a cached
@@ -891,9 +897,7 @@ func (s *Scheduler) Remove(id int, req Request) error {
 		if r.Workload != req.Workload || r.Load != req.Load {
 			continue
 		}
-		if err := s.leave(n, i); err != nil {
-			return err
-		}
+		s.leave(n, i)
 		n.last = core.Result{}
 		n.lastOK = false
 		s.phase("release", id, len(n.requests), true)
@@ -982,8 +986,10 @@ func (s *Scheduler) FailNode(id int) ([]Outcome, error) {
 	n.failed = true
 	drained := n.requests
 	n.requests = nil
+	n.solos = n.solos[:0]
 	n.mix = n.mix[:0]
 	n.demand.Reset()
+	s.reclass(n)
 	n.last = core.Result{}
 	n.lastOK = false
 	s.phase("fail-node", id, len(drained), false)
@@ -1082,32 +1088,42 @@ func (s *Scheduler) rehome(req Request) (Placement, error) {
 	return Placement{Node: n.id, Result: *pick.res}, nil
 }
 
-// Audit recomputes every node's packed mix and summed solo minima
-// from its request list and reports the first node whose
-// incrementally maintained state disagrees. The placement path never
-// calls it; it is the from-scratch reference tests check the
-// incremental updates against after every mutating call.
+// Audit recomputes every node's packed mix, summed solo minima and
+// solo profiles from its request list and reports the first node whose
+// incrementally maintained state disagrees, or whose class does not
+// hold that state. It also checks the class table itself: every
+// class's reference count is its membership, and the live ids are
+// exactly the counted ones. The placement path never calls it; it is
+// the from-scratch reference tests check the incremental updates
+// against after every mutating call.
 func (s *Scheduler) Audit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	t := &s.classes
+	members := make([]int32, len(t.refs))
+	first := make([]*node, len(t.refs))
 	for _, n := range s.nodes {
 		var mix profile.Mix
 		var demand profile.Demand
+		var solos []*profile.Solo
 		for _, r := range n.requests {
-			mix = mix.Insert(profile.Pack(r.Workload, r.Load))
+			if !s.opts.DisableProfileCache {
+				mix = mix.Insert(profile.Pack(r.Workload, r.Load))
+			}
 			if !s.opts.DisablePrefilter {
 				solo, err := s.profiles.Solo(r.Workload, r.Load)
 				if err != nil {
 					return err
 				}
 				demand.Add(solo)
+				solos = append(solos, solo)
 			}
 		}
-		if !s.opts.DisableProfileCache && string(mix) != string(n.mix) {
+		if string(mix) != string(n.mix) {
 			return fmt.Errorf("cluster: node %d mix %x, recomputed %x", n.id, n.mix, mix)
 		}
-		if s.opts.DisablePrefilter {
-			continue
+		if !slices.Equal(solos, n.solos) {
+			return fmt.Errorf("cluster: node %d holds %d solo profiles, recomputed %d", n.id, len(n.solos), len(solos))
 		}
 		if demand.Feasible() != n.demand.Feasible() {
 			return fmt.Errorf("cluster: node %d solo-feasible %t, recomputed %t", n.id, n.demand.Feasible(), demand.Feasible())
@@ -1117,8 +1133,59 @@ func (s *Scheduler) Audit() error {
 				return fmt.Errorf("cluster: node %d resource %d demand %d, recomputed %d", n.id, r, n.demand.Need(r), demand.Need(r))
 			}
 		}
+		key := s.appendState(nil, mix, &demand)
+		if int(n.class) >= len(t.keys) || t.refs[n.class] == 0 || !bytes.Equal(t.keys[n.class], key) {
+			return fmt.Errorf("cluster: node %d in class %d, which does not hold its state %x", n.id, n.class, key)
+		}
+		// Independently of the key encoding: a class's members share
+		// their state.
+		if m := first[n.class]; m == nil {
+			first[n.class] = n
+		} else if !sameState(m, n, s.topo) {
+			return fmt.Errorf("cluster: nodes %d and %d share class %d with different states", m.id, n.id, n.class)
+		}
+		members[n.class]++
+	}
+	if len(t.refs) > len(s.nodes) {
+		return fmt.Errorf("cluster: class table has %d slots for %d nodes", len(t.refs), len(s.nodes))
+	}
+	live := 0
+	for id, refs := range t.refs {
+		if refs != members[id] {
+			return fmt.Errorf("cluster: class %d counts %d nodes, holds %d", id, refs, members[id])
+		}
+		if refs > 0 {
+			live++
+			if got := t.index[t.find(t.keys[id])]; got != int32(id)+1 {
+				return fmt.Errorf("cluster: class %d's state %x interns to %d", id, t.keys[id], got-1)
+			}
+		}
+	}
+	indexed := 0
+	for _, e := range t.index {
+		if e != 0 {
+			indexed++
+		}
+	}
+	if indexed != live || live+len(t.free) != len(t.refs) {
+		return fmt.Errorf("cluster: class index holds %d states, %d classes are live, %d of %d ids free",
+			indexed, live, len(t.free), len(t.refs))
 	}
 	return nil
+}
+
+// sameState reports whether two nodes hold the same mix and demand,
+// the state assess judges them by.
+func sameState(a, b *node, topo resource.Topology) bool {
+	if string(a.mix) != string(b.mix) || a.demand.Feasible() != b.demand.Feasible() {
+		return false
+	}
+	for r := range topo {
+		if a.demand.Need(r) != b.demand.Need(r) {
+			return false
+		}
+	}
+	return true
 }
 
 // NodeInfo is a snapshot of one node's state.

@@ -195,12 +195,19 @@ func (q Queue) P95(lambda, window float64) float64 {
 }
 
 // MeasureP95 reports the p95 of one observation window: the analytic
-// value perturbed by sampling noise whose magnitude shrinks with the
-// number of queries observed in the window (few queries → a shaky
-// percentile estimate, the effect the paper's two-second window is
-// sized to control).
+// value with the window's sampling noise applied by Measured.
 func (q Queue) MeasureP95(lambda, window float64, rng *stats.RNG) float64 {
-	ideal := q.P95(lambda, window)
+	return Measured(q.P95(lambda, window), lambda, window, rng)
+}
+
+// Measured perturbs an analytic p95 (ideal, as P95 returns it) by the
+// sampling noise of one observation window, whose magnitude shrinks
+// with the number of queries observed in the window (few queries → a
+// shaky percentile estimate, the effect the paper's two-second window
+// is sized to control). It makes exactly one draw from rng, so a
+// caller that memoises ideal consumes the noise stream as MeasureP95
+// does.
+func Measured(ideal, lambda, window float64, rng *stats.RNG) float64 {
 	n := lambda * window // expected queries in the window
 	if n < 1 {
 		n = 1

@@ -124,28 +124,26 @@ func ForEach(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Go runs fn(0) … fn(k−1) concurrently, one goroutine per shard, and
-// waits for all of them. It is the static-sharding counterpart of
-// ForEach for callers that keep per-shard state (caches, RNGs) keyed
-// by the shard id. With k == 1 the shard runs inline. Panics are
-// contained and re-raised as in ForEach.
+// Go runs fn(0) … fn(k−1) concurrently and waits for all of them. It
+// is the static-sharding counterpart of ForEach for callers that keep
+// per-shard state (caches, RNGs) keyed by the shard id. Shard 0 runs
+// on the caller's goroutine, whose stack has already grown to the
+// depth the shard needs, and every other shard gets a goroutine of its
+// own. Panics are contained and re-raised as in ForEach.
 func Go(k int, fn func(shard int)) {
 	if k <= 0 {
 		return
 	}
 	var f failure
 	defer f.raise()
-	if k == 1 {
-		f.run(fn, 0)
-		return
-	}
 	var wg sync.WaitGroup
-	wg.Add(k)
-	for s := 0; s < k; s++ {
+	wg.Add(k - 1)
+	for s := 1; s < k; s++ {
 		go func(s int) {
 			defer wg.Done()
 			f.run(fn, s)
 		}(s)
 	}
+	f.run(fn, 0)
 	wg.Wait()
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"clite/internal/isolation"
+	"clite/internal/latsim"
 	"clite/internal/qos"
 	"clite/internal/resource"
 	"clite/internal/stats"
@@ -103,43 +104,45 @@ func (j Job) Lambda() float64 { return j.Load * j.MaxQPS }
 const DefaultWindow = 2.0
 
 // Calibrations is a concurrency-safe cache of the pure per-workload
-// functions machines need at AddLC: QoS calibrations and isolation
-// p95s. A calibration is a pure function of (workload, topology) — the
-// paper derives it offline, once, before any co-location experiment —
-// so there is no reason for every new machine to redo the Fig. 6 load
-// sweep. Likewise an LC job's isolation p95 (its p95 with the whole
-// machine, the NormPerf baseline) depends only on (workload, λ,
-// window). Cluster schedulers, which build a machine per screen and
+// functions machines need: QoS calibrations and analytic p95s. A
+// calibration is a pure function of (workload, topology) — the paper
+// derives it offline, once, before any co-location experiment — so
+// there is no reason for every new machine to redo the Fig. 6 load
+// sweep. Likewise an LC job's analytic p95 depends only on (workload,
+// physical allocation, λ, window): the isolation p95 (the NormPerf
+// baseline) is the one at the full machine, and a verify window that
+// replays a cached partition asks for the same few allocations again
+// and again. Cluster schedulers, which build a machine per screen and
 // reset one per verify window, share one cache across all of them, and
-// the profile cache's solo profiles read the same one; the first AddLC
-// or solo profile of a workload pays the sweep, the first AddLC at a
-// given rate pays the isolation p95, and every later caller reuses
-// them.
+// the profile cache's solo profiles read the same one; the first caller
+// pays each sweep and each p95, and every later caller reuses them.
 //
 // A Calibrations value assumes all its callers use the same topology
-// (entries are keyed by workload name).
+// (calibrations are keyed by workload name).
 type Calibrations struct {
 	mu  sync.Mutex
 	m   map[string]qos.Calibration
-	iso map[isoKey]float64
+	p95 map[p95Key]float64
 }
 
-// isoKey is an isolation p95's exact argument tuple: the workload and
-// the bit patterns of λ and the window.
-type isoKey struct {
-	workload       string
-	lambda, window uint64
+// p95Key is an analytic p95's exact argument tuple: the workload and
+// the bit patterns of the allocation's fields, λ and the window.
+type p95Key struct {
+	workload                *workload.Profile
+	cores                   int
+	cache, memBw, mem, disk uint64
+	lambda, window          uint64
 }
 
-// isoMemoCap bounds the isolation-p95 memo. A fleet sees a few dozen
-// distinct (workload, load) pairs; a long-lived service fed arbitrary
-// loads would otherwise grow the memo without limit. Past the cap,
-// values are computed and not stored.
-const isoMemoCap = 4096
+// p95MemoCap bounds the p95 memo. A 1,024-node fleet run asks for a
+// handful of distinct tuples; a long-lived service screening arbitrary
+// partitions would otherwise grow the memo without limit. Past the
+// cap, values are computed and not stored.
+const p95MemoCap = 4096
 
 // NewCalibrations returns an empty shared calibration cache.
 func NewCalibrations() *Calibrations {
-	return &Calibrations{m: make(map[string]qos.Calibration), iso: make(map[isoKey]float64)}
+	return &Calibrations{m: make(map[string]qos.Calibration), p95: make(map[p95Key]float64)}
 }
 
 // Len reports how many workloads have been calibrated.
@@ -173,24 +176,28 @@ func (c *Calibrations) Calibration(p *workload.Profile, topo resource.Topology) 
 	return cal, nil
 }
 
-// IsoP95 returns p.P95(full, lambda, window), the workload's p95 with
-// the whole machine (full is workload.FullMachine of the callers'
-// common topology), computing it on first use of the exact (workload,
-// λ, window) triple. Like Calibration, it computes outside the lock;
-// callers racing on one key compute the same value.
-func (c *Calibrations) IsoP95(p *workload.Profile, full workload.Alloc, lambda, window float64) float64 {
-	key := isoKey{p.Name, math.Float64bits(lambda), math.Float64bits(window)}
+// P95 returns p.P95(alloc, lambda, window), computing it on first use
+// of the exact (workload, allocation, λ, window) tuple. Like
+// Calibration, it computes outside the lock; callers racing on one key
+// compute the same value.
+func (c *Calibrations) P95(p *workload.Profile, alloc workload.Alloc, lambda, window float64) float64 {
+	key := p95Key{
+		workload: p, cores: alloc.Cores,
+		cache: math.Float64bits(alloc.CacheMB), memBw: math.Float64bits(alloc.MemBwGB),
+		mem: math.Float64bits(alloc.MemGB), disk: math.Float64bits(alloc.DiskBw),
+		lambda: math.Float64bits(lambda), window: math.Float64bits(window),
+	}
 	c.mu.Lock()
-	v, ok := c.iso[key]
+	v, ok := c.p95[key]
 	c.mu.Unlock()
 	if ok {
 		return v
 	}
-	v = p.P95(full, lambda, window)
+	v = p.P95(alloc, lambda, window)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.iso) < isoMemoCap {
-		c.iso[key] = v
+	if len(c.p95) < p95MemoCap {
+		c.p95[key] = v
 	}
 	return v
 }
@@ -260,18 +267,22 @@ func (m *Machine) Reset(seed int64) {
 	}
 }
 
-// refreshIso recomputes job i's cached isolation p95, through the
-// shared memo when the machine has one. It is a no-op for background
-// jobs (their Iso-Perf normalizer is sampled once at AddBG time).
+// refreshIso recomputes job i's cached isolation p95. It is a no-op
+// for background jobs (their Iso-Perf normalizer is sampled once at
+// AddBG time).
 func (m *Machine) refreshIso(i int) {
-	j := m.jobs[i]
-	switch {
-	case !j.IsLC():
-	case m.shared != nil:
-		m.isoP95[i] = m.shared.IsoP95(j.Workload, m.fullAlloc, j.Lambda(), m.window)
-	default:
-		m.isoP95[i] = j.Workload.P95(m.fullAlloc, j.Lambda(), m.window)
+	if j := m.jobs[i]; j.IsLC() {
+		m.isoP95[i] = m.p95(j.Workload, m.fullAlloc, j.Lambda())
 	}
+}
+
+// p95 is the LC workload's analytic p95 under alloc at the machine's
+// window, through the shared memo when the machine has one.
+func (m *Machine) p95(p *workload.Profile, alloc workload.Alloc, lambda float64) float64 {
+	if m.shared != nil {
+		return m.shared.P95(p, alloc, lambda, m.window)
+	}
+	return p.P95(alloc, lambda, m.window)
 }
 
 // NewShared is New with a shared calibration cache: AddLC consults it
@@ -555,11 +566,9 @@ func (m *Machine) observeScaled(cfg resource.Config, noisy bool, scaledJobs []bo
 		}
 		if job.IsLC() {
 			lambda := job.Lambda()
-			q := job.Workload.Queue(phys, lambda)
+			obs.P95[i] = m.p95(job.Workload, phys, lambda)
 			if noisy {
-				obs.P95[i] = q.MeasureP95(lambda, m.window, m.rng)
-			} else {
-				obs.P95[i] = q.P95(lambda, m.window)
+				obs.P95[i] = latsim.Measured(obs.P95[i], lambda, m.window, m.rng)
 			}
 			obs.QoSMet[i] = obs.P95[i] <= job.QoS
 			if !obs.QoSMet[i] {

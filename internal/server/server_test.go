@@ -518,44 +518,78 @@ func TestMachineResetMatchesNew(t *testing.T) {
 	}
 }
 
-// TestIsoP95Memo checks the shared isolation-p95 memo against a direct
-// full-machine P95, bit for bit: on the miss that stores, on the hit
-// that reads, for a λ one ulp away (a distinct key), and past the cap,
-// where values are still exact but no longer stored. Machines with and
-// without the memo must then report the same NormPerf.
-func TestIsoP95Memo(t *testing.T) {
+// TestP95Memo checks the shared analytic-p95 memo against a direct
+// P95, bit for bit: on the miss that stores, on the hit that reads, for
+// a λ one ulp away, another window, an allocation field one ulp away
+// and another workload (each a distinct key), and past the cap, where
+// values are still exact but no longer stored. The isolation p95 is
+// this memo at the full machine: machines with and without the memo
+// must then report the same NormPerf.
+func TestP95Memo(t *testing.T) {
 	topo := resource.Default()
 	full := workload.FullMachine(topo)
 	p, err := workload.ByName("memcached")
 	if err != nil {
 		t.Fatal(err)
 	}
+	other, err := workload.ByName("img-dnn")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cals := NewCalibrations()
-	check := func(lambda, window float64) {
+	checkAt := func(p *workload.Profile, alloc workload.Alloc, lambda, window float64) {
 		t.Helper()
-		got, want := cals.IsoP95(p, full, lambda, window), p.P95(full, lambda, window)
+		got, want := cals.P95(p, alloc, lambda, window), p.P95(alloc, lambda, window)
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("IsoP95(λ=%v, window=%v) = %v, direct P95 %v", lambda, window, got, want)
+			t.Fatalf("P95(%s, %+v, λ=%v, window=%v) = %v, direct P95 %v", p.Name, alloc, lambda, window, got, want)
 		}
 	}
+	check := func(lambda, window float64) { t.Helper(); checkAt(p, full, lambda, window) }
 	const lambda = 12345.678
 	check(lambda, DefaultWindow) // miss
 	check(lambda, DefaultWindow) // hit
 	check(math.Nextafter(lambda, 0), DefaultWindow)
 	check(lambda, 1)
-	if n := len(cals.iso); n != 3 {
+	if n := len(cals.p95); n != 3 {
 		t.Fatalf("memo holds %d entries after 3 distinct keys, want 3", n)
 	}
-	for i := len(cals.iso); i < isoMemoCap+10; i++ {
+	// Each allocation field is part of the key: a neighbour in any one
+	// of them is a new entry, then a hit.
+	half := full
+	half.Cores /= 2
+	checkAt(p, half, lambda, DefaultWindow)
+	down := func(x *float64) { *x = math.Nextafter(*x, 0) }
+	for i, nudge := range []func(a *workload.Alloc){
+		func(a *workload.Alloc) { a.Cores-- },
+		func(a *workload.Alloc) { down(&a.CacheMB) },
+		func(a *workload.Alloc) { down(&a.MemBwGB) },
+		func(a *workload.Alloc) { down(&a.MemGB) },
+		func(a *workload.Alloc) { down(&a.DiskBw) },
+	} {
+		alloc := half
+		nudge(&alloc)
+		checkAt(p, alloc, lambda, DefaultWindow)
+		checkAt(p, alloc, lambda, DefaultWindow) // hit
+		if n := len(cals.p95); n != 5+i {
+			t.Fatalf("memo holds %d entries after %d distinct keys", n, 5+i)
+		}
+	}
+	checkAt(other, full, lambda, DefaultWindow)
+	if n := len(cals.p95); n != 10 {
+		t.Fatalf("memo holds %d entries after 10 distinct keys, want 10", n)
+	}
+	for i := len(cals.p95); i < p95MemoCap+10; i++ {
 		check(1000+float64(i), DefaultWindow)
 	}
-	if n := len(cals.iso); n != isoMemoCap {
-		t.Fatalf("memo grew to %d entries, cap %d", n, isoMemoCap)
+	if n := len(cals.p95); n != p95MemoCap {
+		t.Fatalf("memo grew to %d entries, cap %d", n, p95MemoCap)
 	}
 	check(lambda, DefaultWindow) // still a hit
 	check(999.5, DefaultWindow)  // past the cap: computed, not stored
-	if _, ok := cals.iso[isoKey{p.Name, math.Float64bits(999.5), math.Float64bits(DefaultWindow)}]; ok {
-		t.Error("a value past the cap was stored")
+	for k := range cals.p95 {
+		if k.lambda == math.Float64bits(999.5) {
+			t.Error("a value past the cap was stored")
+		}
 	}
 
 	shared := NewShared(topo, DefaultSpec(), 1, NewCalibrations())
@@ -586,5 +620,86 @@ func TestIsoP95Memo(t *testing.T) {
 		if math.Float64bits(a.NormPerf[i]) != math.Float64bits(b.NormPerf[i]) {
 			t.Errorf("job %d NormPerf %v with the memo, %v without", i, a.NormPerf[i], b.NormPerf[i])
 		}
+	}
+}
+
+// TestSharedObserveMatchesUnshared checks the p95 memo end to end: a
+// machine that reads analytic p95s from a shared memo measures bit for
+// bit like one that computes them, window after window, over random
+// mixes, loads and partitions, through Observe and through
+// ObserveShared's penalty-scaled allocations. Both machines draw the
+// same noise stream, so any extra or missing draw shows up too. The
+// memo is reused across trials, so later trials read values earlier
+// ones stored.
+func TestSharedObserveMatchesUnshared(t *testing.T) {
+	topo := resource.Default()
+	cals := NewCalibrations()
+	lc, bg := workload.LC(), workload.BG()
+	rng := stats.NewRNG(29)
+	for trial := 0; trial < 40; trial++ {
+		seed := int64(rng.Intn(1 << 30))
+		shared, plain := NewShared(topo, DefaultSpec(), seed, cals), New(topo, DefaultSpec(), seed)
+		nLC, nBG := 1+rng.Intn(3), rng.Intn(3)
+		for _, m := range []*Machine{shared, plain} {
+			m.SetWindow([]float64{DefaultWindow, 1, 0.5}[trial%3])
+		}
+		for i := 0; i < nLC; i++ {
+			name := lc[rng.Intn(len(lc))].Name
+			// Quantized loads make later trials repeat memo keys.
+			load := 0.05 * float64(1+rng.Intn(12))
+			for _, m := range []*Machine{shared, plain} {
+				if _, err := m.AddLC(name, load); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < nBG; i++ {
+			name := bg[rng.Intn(len(bg))].Name
+			for _, m := range []*Machine{shared, plain} {
+				if _, err := m.AddBG(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		n := nLC + nBG
+		mask := make([]bool, n)
+		for w := 0; w < 6; w++ {
+			cfg := resource.Random(topo, n, rng)
+			if w%3 == 2 {
+				// An equal split repeats across trials, so windows read
+				// tuples that earlier windows stored.
+				cfg = resource.EqualSplit(topo, n)
+			}
+			var a, b Observation
+			var errA, errB error
+			if w%2 == 0 {
+				a, errA = shared.Observe(cfg)
+				b, errB = plain.Observe(cfg)
+			} else {
+				for i := range mask {
+					mask[i] = rng.Float64() < 0.6
+				}
+				a, errA = shared.ObserveShared(cfg, mask)
+				b, errB = plain.ObserveShared(cfg, mask)
+			}
+			if errA != nil || errB != nil {
+				t.Fatal(errA, errB)
+			}
+			for i := 0; i < n; i++ {
+				if math.Float64bits(a.P95[i]) != math.Float64bits(b.P95[i]) ||
+					math.Float64bits(a.Throughput[i]) != math.Float64bits(b.Throughput[i]) ||
+					math.Float64bits(a.NormPerf[i]) != math.Float64bits(b.NormPerf[i]) ||
+					a.QoSMet[i] != b.QoSMet[i] {
+					t.Fatalf("trial %d window %d job %d: shared p95 %v thr %v norm %v, unshared p95 %v thr %v norm %v",
+						trial, w, i, a.P95[i], a.Throughput[i], a.NormPerf[i], b.P95[i], b.Throughput[i], b.NormPerf[i])
+				}
+			}
+			if a.AllQoSMet != b.AllQoSMet || a.At != b.At {
+				t.Fatalf("trial %d window %d: shared (%t, %v), unshared (%t, %v)", trial, w, a.AllQoSMet, a.At, b.AllQoSMet, b.At)
+			}
+		}
+	}
+	if len(cals.p95) == 0 {
+		t.Fatal("the shared machines never used the memo")
 	}
 }

@@ -120,12 +120,14 @@ chaossmoke:
 # and the decision log and telemetry trace must be byte-identical
 # whether one shard or several did the placing. It pins twelve
 # FleetPlace-shaped fleets (1,024 nodes, 30 s) to their recorded
-# decision and counter digest (amd64 only). It also checks the
+# decision and counter digest (amd64 only), and checks that a fleet
+# digests the same first in a fresh process (cold calibration and
+# solo-profile memo) as after other fleets. It also checks the
 # typed admission path against the string-keyed reference: every
 # candidate's classification and counter movement, under all four
 # pre-filter × profile-cache settings.
 fleetsmoke:
-	go test -run 'TestFleetSmoke|TestFleetShardInvariance|TestFleetGoldenDigest' ./internal/fleet
+	go test -run 'TestFleetSmoke|TestFleetShardInvariance|TestFleetGoldenDigest|TestFleetDigestWarmOrCold' ./internal/fleet
 	go test -run TestAssessMatchesStringKeyedReference ./internal/cluster
 
 # obssmoke gates the observability plane's contracts: a seeded

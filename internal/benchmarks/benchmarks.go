@@ -512,9 +512,11 @@ func cliteRun(cfg Config) bench {
 // cache, admission pre-filter, and concurrent screening pipeline end
 // to end. The scheduler is rebuilt after each full pass so the pool
 // never saturates; repeats land within a pass, which is where the
-// cache earns its keep. Extra logs the work ledger: BO iterations per
+// cache earns its keep. Extra logs the work ledger — BO iterations per
 // placement and the cache hit rate, the acceptance metrics for the
-// pipeline.
+// pipeline — from an untimed replay of clusterReplayPasses passes on a
+// fresh shared cache, so it counts decisions, not how many passes the
+// time budget allowed.
 func clusterPlace(cfg Config) bench {
 	nodes, iters := 8, 6
 	if cfg.Quick {
@@ -533,8 +535,7 @@ func clusterPlace(cfg Config) bench {
 	// The profile cache outlives each per-pass scheduler — the
 	// warehouse-wide profile store — so steady-state passes admit from
 	// memoized screens.
-	shared := profile.NewCache(resource.Default())
-	newSched := func() *cluster.Scheduler {
+	newSched := func(shared *profile.Cache) *cluster.Scheduler {
 		return cluster.New(cluster.Options{
 			Nodes:            nodes,
 			Seed:             42,
@@ -542,23 +543,32 @@ func clusterPlace(cfg Config) bench {
 			SharedProfiles:   shared,
 		})
 	}
-	sched := newSched()
-	i := 0
-	var agg cluster.Stats
-	op := func() {
-		r := reqs[i%len(reqs)]
-		i++
+	place := func(sched *cluster.Scheduler, r cluster.Request) {
 		if _, err := sched.Place(r); err != nil && !errors.Is(err, cluster.ErrUnplaceable) {
 			panic(err)
 		}
 	}
+	shared := profile.NewCache(resource.Default())
+	sched := newSched(shared)
+	i := 0
+	op := func() {
+		place(sched, reqs[i%len(reqs)])
+		i++
+	}
 	reset := func() {
-		agg = addStats(agg, sched.Stats())
-		sched = newSched()
+		sched = newSched(shared)
 		i = 0
 	}
 	extra := func() map[string]float64 {
-		st := addStats(agg, sched.Stats())
+		var st cluster.Stats
+		replay := profile.NewCache(resource.Default())
+		for pass := 0; pass < clusterReplayPasses; pass++ {
+			sched := newSched(replay)
+			for _, r := range reqs {
+				place(sched, r)
+			}
+			st = addStats(st, sched.Stats())
+		}
 		out := map[string]float64{
 			"placements":    float64(st.Placements),
 			"rejections":    float64(st.Rejections),
@@ -576,14 +586,20 @@ func clusterPlace(cfg Config) bench {
 	return bench{op: op, reset: reset, every: len(reqs), extra: extra}
 }
 
+// clusterReplayPasses is how many passes clusterPlace's extras replay:
+// the first screens, the rest admit from the cache.
+const clusterReplayPasses = 4
+
 // fleetPlace measures warehouse-scale placement throughput: one op is
 // a complete fleet simulation — streamed arrivals and departures over
 // a thousand nodes (quick: 128), every placement through the full
 // pre-filter → cache → BO pipeline, the fleet carved into 64-node
 // cells run by four shards. Extra logs the acceptance metrics:
 // end-to-end placements per wall-clock second, the profile-cache hit
-// rate, and the measured throughput scaling from one shard to the
-// configured count. The scaling is reported only when the host has at
+// rate and the per-run arrivals and placements over an untimed replay
+// of seeds 1–fleetReplaySeeds (decisions, not how many runs the time
+// budget allowed), and the measured throughput scaling from one shard
+// to the configured count. The scaling is reported only when the host has at
 // least one CPU per shard: with fewer, the shards time-share cores and
 // the ratio measures host noise, not the shards.
 func fleetPlace(cfg Config) bench {
@@ -626,29 +642,36 @@ func fleetPlace(cfg Config) bench {
 	}
 	seed := int64(0)
 	var wall time.Duration
-	var last fleet.Summary
 	var placed, runs float64
 	op := func() {
 		seed++
 		sum, dt := runOnce(newOpts(seed, shards))
 		wall += dt
-		last = sum
 		placed += float64(sum.Placements)
 		runs++
 	}
 	extra := func() map[string]float64 {
+		var last fleet.Summary
+		var arrivals, placements int
+		var st cluster.Stats
+		for s := int64(1); s <= fleetReplaySeeds; s++ {
+			last, _ = runOnce(newOpts(s, shards))
+			arrivals += last.Arrivals
+			placements += last.Placements
+			st = addStats(st, last.Cluster)
+		}
 		out := map[string]float64{
 			"nodes":              float64(nodes),
 			"cells":              float64(last.Cells),
 			"shards":             float64(last.Shards),
-			"arrivals_per_run":   float64(last.Arrivals),
-			"placements_per_run": float64(last.Placements),
+			"arrivals_per_run":   float64(arrivals) / fleetReplaySeeds,
+			"placements_per_run": float64(placements) / fleetReplaySeeds,
 		}
 		if wall > 0 {
 			out["placements_per_sec"] = placed / wall.Seconds()
 		}
-		if lookups := last.Cluster.CacheHits + last.Cluster.CacheMisses; lookups > 0 {
-			out["cache_hit_rate"] = float64(last.Cluster.CacheHits) / float64(lookups)
+		if lookups := st.CacheHits + st.CacheMisses; lookups > 0 {
+			out["cache_hit_rate"] = float64(st.CacheHits) / float64(lookups)
 		}
 		if runs > 0 && runtime.NumCPU() >= shards {
 			// One untimed single-shard replay of the last seed measures
@@ -664,6 +687,9 @@ func fleetPlace(cfg Config) bench {
 	}
 	return bench{op: op, extra: extra}
 }
+
+// fleetReplaySeeds is how many seeds fleetPlace's extras replay.
+const fleetReplaySeeds = 4
 
 // addStats sums two scheduler stat ledgers, so clusterPlace can
 // aggregate across the per-pass scheduler resets.

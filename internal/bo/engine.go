@@ -198,8 +198,15 @@ func Run(topo resource.Topology, nJobs int, eval EvalFunc, opts Options) (Result
 	if err != nil {
 		return Result{}, err
 	}
+	r.e.rng = streams.Get().(*stats.RNG)
+	defer streams.Put(r.e.rng)
 	return r.Run(eval, opts)
 }
+
+// streams recycles the noise streams of one-shot runs: a run reseeds
+// its stream before the first draw, and nothing outside the run keeps
+// it, so a recycled stream draws exactly like a new one.
+var streams = sync.Pool{New: func() any { return stats.NewRNG(0) }}
 
 // Runner executes repeated BO runs over one (topology, job count),
 // reusing every engine arena across runs: the sample and
@@ -235,7 +242,12 @@ func NewRunner(topo resource.Topology, nJobs int) (*Runner, error) {
 func (r *Runner) Run(eval EvalFunc, opts Options) (Result, error) {
 	e := r.e
 	topo, nJobs := e.topo, e.nJobs
-	rng := stats.NewRNG(opts.Seed)
+	if e.rng == nil {
+		e.rng = stats.NewRNG(opts.Seed)
+	} else {
+		e.rng.Reseed(opts.Seed)
+	}
+	rng := e.rng
 	acq := opts.acquisition()
 
 	e.reset(opts)
@@ -493,6 +505,7 @@ type engine struct {
 	nJobs   int
 	space   int64 // feasible configurations: topo.ConfigCount(nJobs)
 	opts    Options
+	rng     *stats.RNG // the run's noise stream, reseeded by every Run
 	samples []Sample
 	seen    seenSet
 

@@ -5,23 +5,54 @@ import (
 	"encoding/binary"
 
 	"clite/internal/profile"
+	"clite/internal/resource"
 )
 
-// classTable interns node states as assess sees them: two nodes share
-// a class id exactly when they have the same packed mix and the same
-// Demand (a disabled layer leaves its part at the empty value), so
-// assess judges each class once per pass. A node's class moves at the
-// sites that change its state (join, leave, FailNode). Ids no node
-// holds any more are reused, so the table never has more classes than
-// the scheduler has nodes, and a warm table interns without
-// allocating: index is an open-addressed set of live ids, and a reused
-// id keeps its key's storage.
+// classTable interns live node states as classify sees them: two
+// nodes share a class id exactly when they have the same packed mix
+// and the same Demand (a disabled layer leaves its part at the empty
+// value), so classify judges each class once per pass and counts it
+// once per member. A node's class moves at the sites that change its
+// state (join, leave), and FailNode takes the node out of the table.
+// Ids no node holds any more are reused, so the table never has more
+// classes than the scheduler has nodes, and a warm table interns
+// without allocating: index is an open-addressed set of live ids, and
+// a reused id keeps its key's storage.
 type classTable struct {
-	index []int32  // 1 + live class id by key hash, 0 empty; a power of two, at least twice the nodes
-	keys  [][]byte // keys[id] is class id's state key
-	refs  []int32  // refs[id] counts the nodes in class id; 0 marks a free id
-	free  []int32  // free ids, reused last-freed first
-	buf   []byte   // state-key scratch
+	index  []int32      // 1 + live class id by key hash, 0 empty; a power of two, at least twice the nodes
+	keys   [][]byte     // keys[id] is class id's state key
+	states []classState // states[id] is the state class id stands for
+	refs   []int32      // refs[id] counts the nodes in class id; 0 marks a free id
+	free   []int32      // free ids, reused last-freed first
+	buf    []byte       // state-key scratch
+}
+
+// classState is what classify judges a node by: its packed mix (while
+// the profile cache is on) and its demand (while the pre-filter is on).
+// A class keeps its own copy, so it can be judged without a member.
+type classState struct {
+	mix    profile.Mix    // packed canonical mix of requests
+	demand profile.Demand // summed solo minima of requests
+}
+
+// copyFrom makes c a copy of o, reusing c's storage.
+func (c *classState) copyFrom(o *classState) {
+	c.mix = append(c.mix[:0], o.mix...)
+	c.demand.CopyFrom(&o.demand)
+}
+
+// sameState reports whether two states are the same, the test classify
+// applies, independently of the key encoding.
+func sameState(a, b *classState, topo resource.Topology) bool {
+	if string(a.mix) != string(b.mix) || a.demand.Feasible() != b.demand.Feasible() {
+		return false
+	}
+	for r := range topo {
+		if a.demand.Need(r) != b.demand.Need(r) {
+			return false
+		}
+	}
+	return true
 }
 
 // newClassTable returns the table of a scheduler whose nodes all start
@@ -31,7 +62,7 @@ func newClassTable(nodes int, empty []byte) classTable {
 	for size < 2*nodes {
 		size *= 2
 	}
-	t := classTable{index: make([]int32, size), keys: [][]byte{empty}, refs: []int32{int32(nodes)}}
+	t := classTable{index: make([]int32, size), keys: [][]byte{empty}, states: make([]classState, 1), refs: []int32{int32(nodes)}}
 	t.index[t.find(empty)] = 1
 	return t
 }
@@ -87,15 +118,21 @@ func (s *Scheduler) appendState(dst []byte, mix profile.Mix, d *profile.Demand) 
 	return append(dst, mix...)
 }
 
+// release drops one member from class id, freeing the id when it was
+// the last.
+func (t *classTable) release(id int32) {
+	if t.refs[id]--; t.refs[id] == 0 {
+		t.remove(t.find(t.keys[id]))
+		t.free = append(t.free, id)
+	}
+}
+
 // reclass moves n to the class of its current state. The old class is
 // released first, so a state only this node held frees its id for the
 // new one.
 func (s *Scheduler) reclass(n *node) {
 	t := &s.classes
-	if t.refs[n.class]--; t.refs[n.class] == 0 {
-		t.remove(t.find(t.keys[n.class]))
-		t.free = append(t.free, n.class)
-	}
+	t.release(n.class)
 	t.buf = s.appendState(t.buf[:0], n.mix, &n.demand)
 	i := t.find(t.buf)
 	if t.index[i] == 0 {
@@ -105,9 +142,11 @@ func (s *Scheduler) reclass(n *node) {
 		} else {
 			id = int32(len(t.keys))
 			t.keys = append(t.keys, nil)
+			t.states = append(t.states, classState{})
 			t.refs = append(t.refs, 0)
 		}
 		t.keys[id] = append(t.keys[id][:0], t.buf...)
+		t.states[id].copyFrom(&n.classState)
 		t.index[i] = id + 1
 	}
 	id := t.index[i] - 1

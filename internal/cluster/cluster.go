@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 
 	"clite/internal/bo"
@@ -98,12 +99,11 @@ type Options struct {
 	// (resource.Default()). nil keeps a private per-scheduler cache.
 	SharedProfiles *profile.Cache
 	// SharedCalibrations optionally supplies an external QoS
-	// calibration store, so a fleet of schedulers pays each workload's
-	// calibration sweep once rather than once per scheduler.
-	// Calibrations are pure per-workload functions of the topology, so
-	// sharing them never perturbs a decision. nil uses the profile
-	// cache's memo, so solo profiles and machines sweep each workload
-	// once between them.
+	// calibration store, whose analytic p95 memo the scheduler's
+	// machines then share with its other users. Calibrations and p95s
+	// are pure functions of their arguments, so sharing them never
+	// perturbs a decision; calibration sweeps run once per process
+	// whatever the store. nil uses the profile cache's store.
 	SharedCalibrations *server.Calibrations
 	// Faults optionally injects observation faults into every
 	// screening run — the warehouse's measurement plane is no more
@@ -180,30 +180,33 @@ type Stats struct {
 	VerifyWindows int
 }
 
-// node tracks one machine's accepted jobs. Each placement trial fills
-// a new (screen) or reset (verify) machine with the node's seed and
-// jobs — the cleanest way to express "what if this job also ran here".
+// node tracks one machine's accepted jobs. Each placement trial resets
+// a scheduler-owned machine to the node's seed and fills it with the
+// node's jobs — the cleanest way to express "what if this job also ran
+// here".
 //
 // mix, demand and solos summarize requests for the assessment pass and
 // move with it at the sites that change it (join, leave, FailNode):
 // mix while the profile cache is on, demand and solos while the
-// pre-filter is on. class interns mix and demand (see classTable).
-// Audit recomputes all four from requests.
+// pre-filter is on. class interns mix and demand (see classTable); a
+// failed node leaves the table and holds class -1. Audit recomputes
+// all four from requests.
 //
-// The fields placeOrder and assess read for every node come first, so
-// they share a cache line ahead of the large last result.
+// The fields the placement walk reads for each node it passes come
+// first, so they share a cache line.
 type node struct {
 	id       int
-	class    int32 // id of (mix, demand) in Scheduler.classes
+	class    int32 // id of (mix, demand) in Scheduler.classes; -1 once failed
 	failed   bool
 	requests []Request
 	seed     int64           // machine seed, fixed at construction
 	solos    []*profile.Solo // requests' solo profiles, index for index (pre-filter on)
 	scratch  []Request       // reused per-trial request slice (build)
-	mix      profile.Mix     // packed canonical mix of requests
-	demand   profile.Demand  // summed solo minima of requests
-	last     core.Result
-	lastOK   bool
+	classState
+	// last is the partition the latest admission found for the
+	// node's current mix, nil when the mix changed since. It points at
+	// the screen's result or the cache entry's, both immutable.
+	last *core.Result
 }
 
 // allBG reports whether the node's jobs plus req are all background
@@ -236,18 +239,25 @@ type Scheduler struct {
 
 	classes classTable
 
-	// Per-call buffers, reused under mu: the live-node order, the
-	// candidates of the current assessment, the arena their packed
-	// keys live in, the per-class verdicts of the current pass (pass
-	// numbers the passes), and the screening representatives.
-	order    []*node
-	starts   []int // placeOrder's occupancy buckets
+	// order holds the live nodes in placement order once ordered is
+	// set (see placeOrder); join, leave and FailNode keep it so.
+	order   []*node
+	ordered bool
+
+	// Per-call buffers, reused under mu: the live nodes in id order,
+	// the candidates of the current pass, the arena their packed keys
+	// live in, the per-class verdicts of the current pass (pass numbers
+	// the passes), and the screening representatives.
+	alive    []*node
 	cands    []candidate
 	keys     []byte
 	verdicts []verdict // by class id
 	pass     uint64
 	reps     []*candidate
-	verifier *server.Machine // reset for each verify window, all under mu
+
+	// machines are the trial machines, each reset to a node's seed for
+	// one trial (see trialMachines).
+	machines []*server.Machine
 }
 
 // statCounters is the registry-backed storage behind Stats: one handle
@@ -339,12 +349,11 @@ func (s *Scheduler) Stats() Stats {
 func (s *Scheduler) CacheLen() int { return s.profiles.Len() }
 
 // build places the node's jobs plus an optional extra request on m, a
-// new or reset machine of the node's seed that shares the
-// scheduler-wide calibration cache, so each workload pays its QoS
-// calibration sweep once per cluster rather than once per trial. The
-// request slice is assembled in the node's scratch buffer — each node
-// is built at most once per placement trial, so the buffer is never
-// shared across goroutines.
+// machine reset to the node's seed that shares the scheduler-wide
+// calibration cache, so a workload's QoS calibration costs a trial one
+// map lookup. The request slice is assembled in the node's scratch
+// buffer — each node is built at most once per placement trial, so the
+// buffer is never shared across goroutines.
 func (s *Scheduler) build(m *server.Machine, n *node, extra *Request) error {
 	reqs := n.requests
 	if extra != nil {
@@ -366,9 +375,9 @@ func (s *Scheduler) build(m *server.Machine, n *node, extra *Request) error {
 	return nil
 }
 
-// phase records one PlacementPhase event. assess and verify call it
-// once per candidate, so it stays small enough to inline: untraced, it
-// is one nil check and builds no event.
+// phase records one PlacementPhase event. verify calls it once per
+// window, so it stays small enough to inline: untraced, it is one nil
+// check and builds no event.
 func (s *Scheduler) phase(name string, node, n int, ok bool) {
 	if s.trace != nil {
 		s.emitPhase(name, node, n, ok)
@@ -393,12 +402,13 @@ func (s *Scheduler) faultPlan(n *node) faults.Plan {
 }
 
 // screen runs a budget-bounded CLITE invocation to decide feasibility,
-// warm-started from seeds when the profile cache knew a nearby mix.
-// The substrate flag marks runs that died on their observation plane
-// (the window was lost, not the co-location disproved): the candidate
-// is treated as infeasible for this placement but nothing is cached.
-func (s *Scheduler) screen(n *node, extra Request, seeds []resource.Config) (res core.Result, ok, substrate bool, trace *telemetry.Tracer, err error) {
-	m := server.NewShared(s.topo, server.DefaultSpec(), n.seed, s.cals)
+// warm-started from seeds when the profile cache knew a nearby mix, on
+// m reset to the node's seed. The substrate flag
+// marks runs that died on their observation plane (the window was
+// lost, not the co-location disproved): the candidate is treated as
+// infeasible for this placement but nothing is cached.
+func (s *Scheduler) screen(m *server.Machine, n *node, extra Request, seeds []resource.Config) (res core.Result, ok, substrate bool, trace *telemetry.Tracer, err error) {
+	m.Reset(n.seed)
 	if err := s.build(m, n, &extra); err != nil {
 		return core.Result{}, false, false, nil, err
 	}
@@ -491,9 +501,10 @@ func (s *Scheduler) resolve(req Request) arrival {
 }
 
 // join adds an admitted request to the node, keeping its mix, demand,
-// solos and class in step.
+// solos, class and place in the order in step.
 func (s *Scheduler) join(n *node, a arrival) {
 	n.requests = append(n.requests, a.Request)
+	s.reorder(n, len(n.requests)-1)
 	if !s.opts.DisableProfileCache {
 		n.mix = n.mix.Insert(a.job)
 	}
@@ -504,9 +515,9 @@ func (s *Scheduler) join(n *node, a arrival) {
 	s.reclass(n)
 }
 
-// leave removes the node's i-th request, keeping its mix, demand, solos
-// and class in step. The solo profile is the one the request was
-// admitted with, so a departure looks nothing up.
+// leave removes the node's i-th request, keeping its mix, demand, solos,
+// class and place in the order in step. The solo profile is the one the
+// request was admitted with, so a departure looks nothing up.
 func (s *Scheduler) leave(n *node, i int) {
 	r := n.requests[i]
 	if !s.opts.DisablePrefilter {
@@ -517,60 +528,84 @@ func (s *Scheduler) leave(n *node, i int) {
 		n.mix, _ = n.mix.Delete(profile.Pack(r.Workload, r.Load))
 	}
 	n.requests = append(n.requests[:i], n.requests[i+1:]...)
+	s.reorder(n, len(n.requests)+1)
 	s.reclass(n)
 }
 
-// assess is phase 0 of the pipeline: sequentially classify every
-// candidate node via the pre-filter and the profile cache. It runs
-// under the scheduler lock before any goroutine is spawned, so lookup
-// order — and with it every Stats counter — is deterministic. Each
-// node class is judged once per pass, by its first candidate (see
-// judge); later candidates of the class copy the verdict. Every
-// candidate still counts its own outcome and emits its own phase
-// event, and the counts reach the ledger and the cache's Stats once,
-// when the pass ends. The returned candidates live in the scheduler's
-// buffer until the next call.
-func (s *Scheduler) assess(nodes []*node, a arrival) ([]candidate, error) {
-	if cap(s.cands) < len(nodes) {
-		s.cands = make([]candidate, 0, len(nodes)) // sized once, not grown by doubling
-	}
-	s.cands, s.keys = s.cands[:0], s.keys[:0]
-	if n := len(s.classes.refs); len(s.verdicts) < n {
+// classify is phase 0 of the pipeline: it judges every live node class
+// once (see judge) and counts each verdict once per member. nodes must
+// be the live nodes, in the order the caller tries them: a pass cut
+// short by the arrival's solo-lookup error counts the nodes before the
+// first one it reaches, and traced passes record each node's
+// assessment in that order. It runs under the scheduler lock before
+// any goroutine is spawned, so every Stats counter is deterministic.
+func (s *Scheduler) classify(nodes []*node, a arrival) error {
+	t := &s.classes
+	if n := len(t.refs); len(s.verdicts) < n {
 		s.verdicts = append(s.verdicts, make([]verdict, n-len(s.verdicts))...)
 	}
+	s.keys = s.keys[:0]
 	s.pass++
-	var t tally
-	defer s.settle(&t)
+	if a.soloErr != nil {
+		// A node whose residents are all solo-feasible would look the
+		// arrival up and report the failure; the pre-filter turns away
+		// every node before the first such one, and the pass counts
+		// those and ends.
+		for i, n := range nodes {
+			if n.demand.Feasible() {
+				s.stats.prefilterRejects.Add(int64(i))
+				for _, m := range nodes[:i] {
+					s.phase("prefilter-reject", m.id, len(m.requests)+1, false)
+				}
+				return a.soloErr
+			}
+		}
+	}
+	var tl tally
+	for id, refs := range t.refs {
+		if refs > 0 {
+			v := &s.verdicts[id]
+			s.judge(v, &t.states[id], a)
+			tl.add(v, refs)
+		}
+	}
+	s.settle(&tl)
+	s.emitAssessed(nodes)
+	return nil
+}
+
+// emitAssessed records each node's assessment event, in node order.
+func (s *Scheduler) emitAssessed(nodes []*node) {
+	if s.trace == nil {
+		return
+	}
 	for _, n := range nodes {
 		v := &s.verdicts[n.class]
-		if v.pass != s.pass {
-			if err := s.judge(v, n, a); err != nil {
-				return nil, err
-			}
-		} else {
-			t.repeat(v)
-		}
-		// Set field by field: a composite literal would be built and
-		// then block-copied, once per candidate.
-		s.cands = s.cands[:len(s.cands)+1]
-		c := &s.cands[len(s.cands)-1]
-		c.n, c.key, c.kind, c.entry, c.seeds, c.ok, c.res = n, v.key, v.kind, v.entry, v.seeds, false, nil
 		jobs := len(n.requests) + 1
 		switch {
 		case v.rejected:
-			t.prefilterRejects++
-			s.phase("prefilter-reject", n.id, jobs, false)
+			s.emitPhase("prefilter-reject", n.id, jobs, false)
 		case v.key == nil: // profile cache off
 		case v.hit:
-			t.hits++
-			s.phase("cache-hit", n.id, jobs, v.entry != nil)
-		default:
-			t.misses++
-			if len(v.seeds) > 0 {
-				t.nearHits++
-				s.phase("cache-near-hit", n.id, len(v.seeds), true)
-			}
+			s.emitPhase("cache-hit", n.id, jobs, v.entry != nil)
+		case len(v.seeds) > 0:
+			s.emitPhase("cache-near-hit", n.id, len(v.seeds), true)
 		}
+	}
+}
+
+// assess classifies the live nodes (see classify) and returns one
+// candidate per node, in node order, in the scheduler's buffer until
+// the next call. rehome weighs every candidate; Place reads the
+// verdicts up to its cutoff instead (see shortlist).
+func (s *Scheduler) assess(nodes []*node, a arrival) ([]candidate, error) {
+	if err := s.classify(nodes, a); err != nil {
+		return nil, err
+	}
+	s.cands = s.cands[:0]
+	for _, n := range nodes {
+		v := &s.verdicts[n.class]
+		s.cands = append(s.cands, candidate{n: n, key: v.key, kind: v.kind, entry: v.entry, seeds: v.seeds})
 	}
 	return s.cands, nil
 }
@@ -587,62 +622,65 @@ type verdict struct {
 	seeds    []resource.Config // the donor's SeedsFor the candidate's job count
 }
 
-// judge fills v with the verdict for n's class: the pre-filter's, then
-// the profile cache's. Two classes may share a key (same mix, different
-// demand); each asks the cache, which counts per question either way.
-// The scheduler stores to the cache only in commit, never during
-// assess, so a second question gets the first one's answer; if another
-// scheduler sharing the cache stores mid-pass, each class's answer is a
-// state the cache did pass through.
-func (s *Scheduler) judge(v *verdict, n *node, a arrival) error {
+// judge fills v with the verdict for a class of state st: the
+// pre-filter's, then the profile cache's. Two classes may share a key
+// (same mix, different demand); each asks the cache, which counts per
+// question either way. The scheduler stores to the cache only in
+// commit, never during classify, so a second question gets the first
+// one's answer; if another scheduler sharing the cache stores
+// mid-pass, each class's answer is a state the cache did pass through.
+func (s *Scheduler) judge(v *verdict, st *classState, a arrival) {
 	*v = verdict{pass: s.pass, kind: candScreen}
-	if !s.opts.DisablePrefilter {
-		if n.demand.Feasible() && a.soloErr != nil {
-			return a.soloErr
-		}
-		if !n.demand.Admits(s.topo, a.solo) {
-			v.kind, v.rejected = candSkip, true
-			return nil
-		}
+	if !s.opts.DisablePrefilter && !st.demand.Admits(s.topo, a.solo) {
+		v.kind, v.rejected = candSkip, true
+		return
 	}
 	if s.opts.DisableProfileCache {
-		return nil
+		return
 	}
 	start := len(s.keys)
-	s.keys = profile.AppendInsert(s.keys, n.mix, a.job)
+	s.keys = profile.AppendInsert(s.keys, st.mix, a.job)
 	v.key = s.keys[start:len(s.keys):len(s.keys)]
 	if e, _ := s.profiles.Lookup(v.key); e != nil {
 		v.hit, v.kind = true, candSkip
 		if e.Feasible {
 			v.entry, v.kind = e, candCached
 		}
-		return nil
+		return
 	}
 	if donor, _ := s.profiles.LookupNear(v.key, profile.NearTolerance); donor != nil {
 		v.donor = true
-		v.seeds = donor.SeedsFor(len(n.requests) + 1)
+		v.seeds = donor.SeedsFor(st.mix.Len() + 1)
 	}
-	return nil
 }
 
-// tally is one assess pass's counter movement: the ledger's four
+// tally is one pass's counter movement: the ledger's four
 // per-candidate counters, and the repeats owed to the cache's Stats.
 type tally struct {
 	prefilterRejects, hits, misses, nearHits int64
 	credHits, credMisses, credNear           int
 }
 
-// repeat counts, for the cache's Stats, the question a repeat of v's
-// class would have asked.
-func (t *tally) repeat(v *verdict) {
+// add counts the members of v's class: each moves the ledger's
+// per-candidate counters, and each member but the one judge asked for
+// owes the cache's Stats the question it would have asked.
+func (t *tally) add(v *verdict, members int32) {
+	m, repeats := int64(members), int(members)-1
 	switch {
-	case v.key == nil: // the cache was not asked
+	case v.rejected:
+		t.prefilterRejects += m
+	case v.key == nil: // profile cache off
 	case v.hit:
-		t.credHits++
+		t.hits += m
+		t.credHits += repeats
 	default:
-		t.credMisses++
+		t.misses += m
+		t.credMisses += repeats
+		if len(v.seeds) > 0 {
+			t.nearHits += m
+		}
 		if v.donor {
-			t.credNear++
+			t.credNear += repeats
 		}
 	}
 }
@@ -660,12 +698,9 @@ func (s *Scheduler) settle(t *tally) {
 // partition still meets QoS on this node — the guard against load
 // quantization blurring two mixes into one key, at one window instead
 // of a full BO run. Any error demotes the candidate to a full screen.
-// The window runs on the verifier, reset to the node's seed.
+// The window runs on trial machine 0, reset to the node's seed.
 func (s *Scheduler) verify(n *node, req Request, e *profile.Entry) bool {
-	if s.verifier == nil {
-		s.verifier = server.NewShared(s.topo, server.DefaultSpec(), n.seed, s.cals)
-	}
-	m := s.verifier
+	m := s.trialMachines(1)[0]
 	m.Reset(n.seed)
 	if err := s.build(m, n, &req); err != nil {
 		return false
@@ -686,6 +721,51 @@ func (s *Scheduler) verify(n *node, req Request, e *profile.Entry) bool {
 func (c *candidate) demote() {
 	c.kind = candScreen
 	c.seeds = c.entry.SeedsFor(len(c.n.requests) + 1)
+}
+
+// shortlist runs phase 1 of Place over the classified order and picks
+// phase 2's screens: it walks the cached-feasible candidates in order
+// and verifies until one holds up. That node is the cutoff — no candidate after it can win,
+// because the verified hit costs zero further BO cycles and sits
+// earlier in the order — and it comes back as hit. Failed
+// verifications demote to warm screens and stay in the race. It
+// returns the screening representatives before the cutoff (see
+// pickReps). Only the representatives and the hit become candidates.
+func (s *Scheduler) shortlist(order []*node, req Request) (reps []*candidate, hit *candidate) {
+	s.cands = s.cands[:0]
+	for _, n := range order {
+		v := &s.verdicts[n.class]
+		if v.kind == candSkip {
+			continue
+		}
+		c := candidate{n: n, key: v.key, kind: v.kind, entry: v.entry, seeds: v.seeds}
+		if c.kind == candCached {
+			if n.allBG(req) || s.verify(n, req, c.entry) {
+				s.cands = append(s.cands, c)
+				hit = &s.cands[len(s.cands)-1]
+				break
+			}
+			c.demote()
+		}
+		if !s.screened(c.key) {
+			s.cands = append(s.cands, c)
+		}
+	}
+	return s.pickReps(s.cands), hit
+}
+
+// screened reports whether a candidate already in the shortlist
+// screens the mix key.
+func (s *Scheduler) screened(key profile.Mix) bool {
+	if key == nil {
+		return false // profile cache off: every candidate screens
+	}
+	for i := range s.cands {
+		if string(s.cands[i].key) == string(key) {
+			return true
+		}
+	}
+	return false
 }
 
 // pickReps selects the screening representatives among the candidates:
@@ -721,6 +801,18 @@ func repOf(reps []*candidate, key profile.Mix) *candidate {
 	return nil
 }
 
+// trialMachines returns at least n trial machines, building the missing
+// ones. Verify windows run on machine 0 and representative i screens on
+// machine i: verification ends before screening starts, and concurrent
+// screens each own their index, so no two trials share a machine at
+// once.
+func (s *Scheduler) trialMachines(n int) []*server.Machine {
+	for len(s.machines) < n {
+		s.machines = append(s.machines, server.NewShared(s.topo, server.DefaultSpec(), 0, s.cals))
+	}
+	return s.machines
+}
+
 // screenOut is one representative's screening outcome. done
 // distinguishes "screened" from "never reached" on the sequential
 // early-exit path.
@@ -742,9 +834,10 @@ type screenOut struct {
 // (DESIGN.md §8); nothing is committed here.
 func (s *Scheduler) screenReps(reps []*candidate, req Request, earlyExit bool) []screenOut {
 	results := make([]screenOut, len(reps))
+	machines := s.trialMachines(len(reps))
 	if earlyExit && par.Count(s.opts.ScreenWorkers) == 1 {
 		for i, c := range reps {
-			res, ok, substrate, trace, err := s.screen(c.n, req, c.seeds)
+			res, ok, substrate, trace, err := s.screen(machines[i], c.n, req, c.seeds)
 			results[i] = screenOut{res: res, ok: ok, substrate: substrate, trace: trace, err: err, done: true}
 			if err != nil || ok {
 				break
@@ -754,7 +847,7 @@ func (s *Scheduler) screenReps(reps []*candidate, req Request, earlyExit bool) [
 	}
 	par.ForEach(s.opts.ScreenWorkers, len(reps), func(i int) {
 		c := reps[i]
-		res, ok, substrate, trace, err := s.screen(c.n, req, c.seeds)
+		res, ok, substrate, trace, err := s.screen(machines[i], c.n, req, c.seeds)
 		results[i] = screenOut{res: res, ok: ok, substrate: substrate, trace: trace, err: err, done: true}
 	})
 	return results
@@ -765,7 +858,7 @@ func (s *Scheduler) screenReps(reps []*candidate, req Request, earlyExit bool) [
 // reached are committed — the deterministic prefix — so cache contents
 // and counters never depend on the worker count. Substrate failures
 // prove nothing about the mix and are never cached.
-func (s *Scheduler) commit(c *candidate, r screenOut) {
+func (s *Scheduler) commit(c *candidate, r *screenOut) {
 	if r.err != nil {
 		return
 	}
@@ -790,13 +883,12 @@ func (s *Scheduler) commit(c *candidate, r screenOut) {
 }
 
 // admit records the placement on the node.
-func (s *Scheduler) admit(n *node, a arrival, res core.Result) Placement {
+func (s *Scheduler) admit(n *node, a arrival, res *core.Result) Placement {
 	s.join(n, a)
 	n.last = res
-	n.lastOK = true
 	s.stats.placements.Inc()
 	s.phase("admit", n.id, len(n.requests), true)
-	return Placement{Node: n.id, Result: res}
+	return Placement{Node: n.id, Result: *res}
 }
 
 // Place finds a node for the request, preferring the least-loaded
@@ -818,39 +910,20 @@ func (s *Scheduler) Place(req Request) (p Placement, err error) {
 	span := s.trace.Begin("place", -1)
 	defer func() { s.trace.End("place", -1, span, 1, err == nil) }()
 	a := s.resolve(req)
-	cands, err := s.assess(s.placeOrder(), a)
-	if err != nil {
+	order := s.placeOrder()
+	if err := s.classify(order, a); err != nil {
 		return Placement{}, err
 	}
-
-	// Phase 1: walk the cached-feasible candidates in placement order
-	// and verify until one holds up. That index is the cutoff — no
-	// candidate after it can win, because the verified hit costs zero
-	// further BO cycles and sits earlier in the order. Failed
-	// verifications demote to warm screens and stay in the race.
-	cutoff := len(cands)
-	var verified *candidate
-	for i := range cands {
-		c := &cands[i]
-		if c.kind != candCached {
-			continue
-		}
-		if c.n.allBG(req) || s.verify(c.n, req, c.entry) {
-			cutoff, verified = i, c
-			break
-		}
-		c.demote()
-	}
-
-	// Phase 2: screen the surviving unknowns before the cutoff.
-	reps := s.pickReps(cands[:cutoff])
+	// Phases 1 and 2: verify cached hits up to the cutoff, then screen
+	// the surviving unknowns before it.
+	reps, hit := s.shortlist(order, req)
 	results := s.screenReps(reps, req, true)
 
 	// Phase 3: sequential index-order reduction. Commit exactly the
 	// prefix the sequential scan would have screened, then admit onto
 	// the earliest feasible candidate.
 	for i, c := range reps {
-		r := results[i]
+		r := &results[i]
 		if !r.done {
 			break
 		}
@@ -859,14 +932,14 @@ func (s *Scheduler) Place(req Request) (p Placement, err error) {
 			return Placement{}, r.err
 		}
 		if r.ok {
-			return s.admit(c.n, a, r.res), nil
+			return s.admit(c.n, a, &r.res), nil
 		}
 	}
-	if verified != nil {
-		return s.admit(verified.n, a, verified.entry.Result), nil
+	if hit != nil {
+		return s.admit(hit.n, a, &hit.entry.Result), nil
 	}
 	s.stats.rejections.Inc()
-	s.phase("reject", -1, len(cands), false)
+	s.phase("reject", -1, len(order), false)
 	return Placement{}, ErrUnplaceable
 }
 
@@ -898,8 +971,7 @@ func (s *Scheduler) Remove(id int, req Request) error {
 			continue
 		}
 		s.leave(n, i)
-		n.last = core.Result{}
-		n.lastOK = false
+		n.last = nil
 		s.phase("release", id, len(n.requests), true)
 		return nil
 	}
@@ -907,45 +979,73 @@ func (s *Scheduler) Remove(id int, req Request) error {
 }
 
 // placeOrder returns the live nodes least-loaded first, ties in id
-// order: the order Place tries them in, in the scheduler's reusable
-// buffer (valid until the next call). Occupancy is a small integer, so
-// a stable counting pass over the id-ordered nodes replaces a sort:
-// starts[k] is where the nodes hosting k jobs begin.
+// order: the order Place tries them in. The first call sorts them; from
+// then on join, leave and FailNode keep the order, so a call returns it
+// as it stands. The slice is the scheduler's, valid until the next
+// mutating call.
 func (s *Scheduler) placeOrder() []*node {
-	starts, live := s.starts[:0], 0
-	for _, n := range s.nodes {
-		if !n.failed {
-			for len(starts) < len(n.requests)+2 {
-				starts = append(starts, 0)
+	if !s.ordered {
+		s.order = make([]*node, 0, len(s.nodes))
+		for _, n := range s.nodes {
+			if !n.failed {
+				s.order = append(s.order, n)
 			}
-			starts[len(n.requests)+1]++
-			live++
 		}
+		s.order, s.ordered = byOccupancy(s.order), true
 	}
-	for k := 1; k < len(starts); k++ {
-		starts[k] += starts[k-1]
+	return s.order
+}
+
+// byOccupancy stably sorts id-ordered nodes least-loaded first.
+func byOccupancy(nodes []*node) []*node {
+	slices.SortStableFunc(nodes, func(a, b *node) int { return len(a.requests) - len(b.requests) })
+	return nodes
+}
+
+// precedes reports whether m sorts before a node of the given
+// occupancy and id in placement order.
+func precedes(m *node, jobs, id int) bool {
+	return len(m.requests) < jobs || len(m.requests) == jobs && m.id < id
+}
+
+// orderIndex returns n's index in the order, where it sits as a node
+// hosting was jobs.
+func (s *Scheduler) orderIndex(n *node, was int) int {
+	return sort.Search(len(s.order), func(k int) bool {
+		m := s.order[k]
+		return m == n || !precedes(m, was, n.id)
+	})
+}
+
+// reorder moves n, which hosted was jobs, to its place in the order
+// for its current occupancy, shifting the nodes it passes by one.
+func (s *Scheduler) reorder(n *node, was int) {
+	if !s.ordered {
+		return
 	}
-	order := append(s.order[:0], make([]*node, live)...)
-	for _, n := range s.nodes {
-		if !n.failed {
-			order[starts[len(n.requests)]] = n
-			starts[len(n.requests)]++
-		}
+	o, i, jobs := s.order, s.orderIndex(n, was), len(n.requests)
+	if jobs > was {
+		after := o[i+1:]
+		k := sort.Search(len(after), func(k int) bool { return !precedes(after[k], jobs, n.id) })
+		copy(o[i:], after[:k])
+		o[i+k] = n
+		return
 	}
-	s.starts, s.order = starts, order
-	return order
+	k := sort.Search(i, func(k int) bool { return !precedes(o[k], jobs, n.id) })
+	copy(o[k+1:i+1], o[k:i])
+	o[k] = n
 }
 
 // live returns the non-failed nodes in id order, in the scheduler's
 // reusable buffer (valid until the next call).
 func (s *Scheduler) live() []*node {
-	s.order = s.order[:0]
+	s.alive = s.alive[:0]
 	for _, n := range s.nodes {
 		if !n.failed {
-			s.order = append(s.order, n)
+			s.alive = append(s.alive, n)
 		}
 	}
-	return s.order
+	return s.alive
 }
 
 // Outcome reports the fate of one job during the reschedule that
@@ -983,15 +1083,19 @@ func (s *Scheduler) FailNode(id int) ([]Outcome, error) {
 	if n.failed {
 		return nil, fmt.Errorf("cluster: node %d already failed", id)
 	}
+	if s.ordered {
+		i := s.orderIndex(n, len(n.requests))
+		s.order = append(s.order[:i], s.order[i+1:]...)
+	}
 	n.failed = true
 	drained := n.requests
 	n.requests = nil
 	n.solos = n.solos[:0]
 	n.mix = n.mix[:0]
 	n.demand.Reset()
-	s.reclass(n)
-	n.last = core.Result{}
-	n.lastOK = false
+	s.classes.release(n.class)
+	n.class = -1
+	n.last = nil
 	s.phase("fail-node", id, len(drained), false)
 
 	order := make([]Request, 0, len(drained))
@@ -1051,7 +1155,7 @@ func (s *Scheduler) rehome(req Request) (Placement, error) {
 	results := s.screenReps(reps, req, false)
 	for i, c := range reps {
 		r := &results[i]
-		s.commit(c, *r)
+		s.commit(c, r)
 		if r.err != nil {
 			return Placement{}, r.err
 		}
@@ -1082,8 +1186,7 @@ func (s *Scheduler) rehome(req Request) (Placement, error) {
 	}
 	n := pick.n
 	s.join(n, a)
-	n.last = *pick.res
-	n.lastOK = true
+	n.last = pick.res
 	s.phase("rehome", n.id, len(n.requests), true)
 	return Placement{Node: n.id, Result: *pick.res}, nil
 }
@@ -1091,11 +1194,12 @@ func (s *Scheduler) rehome(req Request) (Placement, error) {
 // Audit recomputes every node's packed mix, summed solo minima and
 // solo profiles from its request list and reports the first node whose
 // incrementally maintained state disagrees, or whose class does not
-// hold that state. It also checks the class table itself: every
-// class's reference count is its membership, and the live ids are
-// exactly the counted ones. The placement path never calls it; it is
-// the from-scratch reference tests check the incremental updates
-// against after every mutating call.
+// hold that state (a failed node holds none). It also checks the class
+// table itself — every class's reference count is its live membership,
+// and the live ids are exactly the counted ones — and, once built, the
+// placement order against a fresh sort. The placement path
+// never calls it; it is the from-scratch reference tests check the
+// incremental updates against after every mutating call.
 func (s *Scheduler) Audit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1133,16 +1237,25 @@ func (s *Scheduler) Audit() error {
 				return fmt.Errorf("cluster: node %d resource %d demand %d, recomputed %d", n.id, r, n.demand.Need(r), demand.Need(r))
 			}
 		}
+		if n.failed {
+			if len(n.requests) > 0 || n.class != -1 {
+				return fmt.Errorf("cluster: failed node %d hosts %d jobs in class %d", n.id, len(n.requests), n.class)
+			}
+			continue
+		}
 		key := s.appendState(nil, mix, &demand)
-		if int(n.class) >= len(t.keys) || t.refs[n.class] == 0 || !bytes.Equal(t.keys[n.class], key) {
+		if n.class < 0 || int(n.class) >= len(t.keys) || t.refs[n.class] == 0 || !bytes.Equal(t.keys[n.class], key) {
 			return fmt.Errorf("cluster: node %d in class %d, which does not hold its state %x", n.id, n.class, key)
 		}
 		// Independently of the key encoding: a class's members share
 		// their state.
 		if m := first[n.class]; m == nil {
 			first[n.class] = n
-		} else if !sameState(m, n, s.topo) {
+		} else if !sameState(&m.classState, &n.classState, s.topo) {
 			return fmt.Errorf("cluster: nodes %d and %d share class %d with different states", m.id, n.id, n.class)
+		}
+		if !sameState(&t.states[n.class], &n.classState, s.topo) {
+			return fmt.Errorf("cluster: node %d's class %d keeps another state", n.id, n.class)
 		}
 		members[n.class]++
 	}
@@ -1171,21 +1284,10 @@ func (s *Scheduler) Audit() error {
 		return fmt.Errorf("cluster: class index holds %d states, %d classes are live, %d of %d ids free",
 			indexed, live, len(t.free), len(t.refs))
 	}
+	if s.ordered && !slices.Equal(s.order, byOccupancy(slices.Clone(s.live()))) {
+		return errors.New("cluster: the placement order is not the live nodes by occupancy")
+	}
 	return nil
-}
-
-// sameState reports whether two nodes hold the same mix and demand,
-// the state assess judges them by.
-func sameState(a, b *node, topo resource.Topology) bool {
-	if string(a.mix) != string(b.mix) || a.demand.Feasible() != b.demand.Feasible() {
-		return false
-	}
-	for r := range topo {
-		if a.demand.Need(r) != b.demand.Need(r) {
-			return false
-		}
-	}
-	return true
 }
 
 // NodeInfo is a snapshot of one node's state.
@@ -1207,7 +1309,7 @@ func (s *Scheduler) Snapshot() []NodeInfo {
 	defer s.mu.Unlock()
 	out := make([]NodeInfo, 0, len(s.nodes))
 	for _, n := range s.nodes {
-		info := NodeInfo{ID: n.id, QoSMet: n.lastOK, Failed: n.failed}
+		info := NodeInfo{ID: n.id, QoSMet: n.last != nil, Failed: n.failed}
 		for _, r := range n.requests {
 			label := r.Workload
 			if r.IsLC() {
@@ -1215,7 +1317,7 @@ func (s *Scheduler) Snapshot() []NodeInfo {
 			}
 			info.Jobs = append(info.Jobs, label)
 		}
-		if n.lastOK && n.last.BestObs.NormPerf != nil {
+		if n.last != nil && n.last.BestObs.NormPerf != nil {
 			var sum float64
 			cnt := 0
 			for i, r := range n.requests {

@@ -52,6 +52,7 @@ import (
 	"sync"
 
 	"clite/internal/core"
+	"clite/internal/qos"
 	"clite/internal/resource"
 	"clite/internal/server"
 	"clite/internal/workload"
@@ -312,65 +313,49 @@ type Stats struct {
 	Stores int
 }
 
-// Cache memoizes screening outcomes and solo profiles. It is safe for
-// concurrent use; every mutation is deterministic given the sequence
-// of calls, so schedulers that commit entries in a fixed order get
-// identical cache evolution at any worker count.
+// Cache memoizes screening outcomes. It is safe for concurrent use;
+// every mutation is deterministic given the sequence of calls, so
+// schedulers that commit entries in a fixed order get identical cache
+// evolution at any worker count. Its solo profiles come from the
+// process memo of its topology.
 type Cache struct {
-	topo resource.Topology
-
-	// analytics, when non-nil, is the hub cache this overlay delegates
-	// its solo-profile memoization to (see NewOverlay).
-	// Solo profiles are pure functions of (workload, load bucket) and
-	// topology, so sharing them across overlays is deterministic; mix
-	// entries stay private to each overlay.
-	analytics *Cache
+	topo  resource.Topology
+	solos *soloTable
 
 	mu      sync.Mutex
 	entries map[string]*Entry   // by string(Mix)
 	bySig   map[string][]*Entry // insertion order per signature
 	journal []*Entry            // entries in Store order, for EntriesSince
-	solo    map[soloKey]*Solo
 	stats   Stats
 
 	// cals memoizes QoS calibrations; an overlay shares its hub's.
 	cals *server.Calibrations
 }
 
-// soloKey indexes solo profiles by workload and solo bucket.
-type soloKey struct {
-	id ID
-	q  int
-}
-
 // NewCache returns an empty cache over the node topology.
 func NewCache(topo resource.Topology) *Cache {
-	return newCache(topo, server.NewCalibrations())
+	return newCache(topo, analytics.table(topo), server.NewCalibrations())
 }
 
-func newCache(topo resource.Topology, cals *server.Calibrations) *Cache {
+func newCache(topo resource.Topology, solos *soloTable, cals *server.Calibrations) *Cache {
 	return &Cache{
 		topo:    topo,
+		solos:   solos,
 		entries: make(map[string]*Entry),
 		bySig:   make(map[string][]*Entry),
-		solo:    make(map[soloKey]*Solo),
 		cals:    cals,
 	}
 }
 
-// NewOverlay returns an empty cache over hub's topology whose solo
-// profiles and QoS calibrations are delegated to hub, while mix
-// entries stay private. This is the fleet's per-cell cache shape: the
-// expensive analytical state (pure per-workload functions, identical
-// for every cell) is computed once fleet-wide, and the screening
-// memos — whose contents depend on which cell screened the mix — are
-// kept cell-local and exchanged only at deterministic sync points via
-// EntriesSince + Store, so cache evolution never depends on how many
-// shards ran concurrently.
+// NewOverlay returns an empty cache over hub's topology that shares
+// hub's QoS calibrations, while mix entries stay private. This is the
+// fleet's per-cell cache shape: the screening memos — whose contents
+// depend on which cell screened the mix — are kept cell-local and
+// exchanged only at deterministic sync points via EntriesSince +
+// Store, so cache evolution never depends on how many shards ran
+// concurrently.
 func NewOverlay(hub *Cache) *Cache {
-	c := newCache(hub.topo, hub.cals)
-	c.analytics = hub
-	return c
+	return newCache(hub.topo, hub.solos, hub.cals)
 }
 
 // Calibrations returns the QoS calibration memo the cache's solo
@@ -532,78 +517,134 @@ type Solo struct {
 	MinUnits []int
 }
 
-// Solo returns the memoized solo profile of the workload at the load,
-// computing it on first use (one binary search per resource over the
-// noise-free workload model — a few hundred queue evaluations, paid
-// once per workload/load bucket for the life of the cache).
+// Solo returns the solo profile of the workload at the load from the
+// process memo, computing it on first use of the (topology, workload,
+// solo bucket): one binary search per resource over the noise-free
+// workload model, a few hundred queue evaluations.
 func (c *Cache) Solo(name string, load float64) (*Solo, error) {
-	if c.analytics != nil {
-		return c.analytics.Solo(name, load)
-	}
-	q := soloQuantum(load)
-	key := soloKey{intern(name), q}
-	c.mu.Lock()
-	if s, ok := c.solo[key]; ok {
-		c.mu.Unlock()
-		return s, nil
-	}
-	c.mu.Unlock()
-
-	// Compute outside the lock: profiles are pure functions of
-	// (name, load bucket), so a racing duplicate computation returns
-	// the same value and first-write-wins below keeps one.
-	s, err := c.computeSolo(name, float64(q)*LoadQuantum)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev, ok := c.solo[key]; ok {
-		return prev, nil
-	}
-	c.solo[key] = s
-	return s, nil
+	return c.solos.solo(name, load, c.cals)
 }
 
-func (c *Cache) computeSolo(name string, load float64) (*Solo, error) {
+// soloTables is the process memo of solo profiles: one table per
+// topology, shared by every cache over it. A solo profile is a pure
+// function of (topology, workload, solo bucket) — the paper derives
+// per-job bounds offline, once — so every fleet and scheduler in the
+// process profiles each bucket once. It keeps tables for at most
+// memoTopologies topologies; a cache over a further topology gets a
+// private table that lives and dies with it.
+type soloTables struct {
+	mu     sync.Mutex
+	byTopo map[string]*soloTable
+}
+
+// memoTopologies bounds the topologies soloTables keeps.
+const memoTopologies = 16
+
+// analytics is the process's solo-profile memo.
+var analytics = soloTables{byTopo: make(map[string]*soloTable)}
+
+// table returns the memo table of topo.
+func (t *soloTables) table(topo resource.Topology) *soloTable {
+	key := topo.Key()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if tab, ok := t.byTopo[key]; ok {
+		return tab
+	}
+	tab := &soloTable{topo: topo, m: make(map[soloKey]*Solo)}
+	if len(t.byTopo) < memoTopologies {
+		t.byTopo[key] = tab
+	}
+	return tab
+}
+
+// soloTable memoizes one topology's solo profiles by workload and solo
+// bucket. Profiles are computed outside the lock and the first write
+// wins, so callers racing on one key all get the stored profile. It
+// holds at most soloMemoCap profiles (every registered workload at
+// every bucket of a load in [0, 1.5] fits with room to spare); past
+// the cap, profiles are computed and not stored.
+type soloTable struct {
+	topo resource.Topology
+	mu   sync.Mutex
+	m    map[soloKey]*Solo
+}
+
+// soloMemoCap bounds one soloTable.
+const soloMemoCap = 4096
+
+// soloKey indexes solo profiles by workload and solo bucket.
+type soloKey struct {
+	id ID
+	q  int
+}
+
+// solo returns the table's profile of the workload at the load,
+// taking an LC workload's calibration from cals on first use.
+func (t *soloTable) solo(name string, load float64, cals *server.Calibrations) (*Solo, error) {
+	q := soloQuantum(load)
+	key := soloKey{intern(name), q}
+	t.mu.Lock()
+	s, ok := t.m[key]
+	t.mu.Unlock()
+	if ok {
+		return s, nil
+	}
 	p, err := workload.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	s := &Solo{Workload: name, Load: load, LC: p.Class == workload.LatencyCritical}
+	var cal qos.Calibration
+	if p.Class == workload.LatencyCritical {
+		if cal, err = cals.Calibration(p, t.topo); err != nil {
+			return nil, err
+		}
+	}
+	s = computeSolo(t.topo, p, cal, float64(q)*LoadQuantum)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if prev, ok := t.m[key]; ok {
+		return prev, nil
+	}
+	if len(t.m) < soloMemoCap {
+		t.m[key] = s
+	}
+	return s, nil
+}
+
+// computeSolo is the solo profile of workload p at the load over topo,
+// given an LC workload's calibration there.
+func computeSolo(topo resource.Topology, p *workload.Profile, cal qos.Calibration, load float64) *Solo {
+	s := &Solo{Workload: p.Name, Load: load, LC: p.Class == workload.LatencyCritical}
 	if !s.LC {
 		// BG jobs have no QoS gate; their floor is the one unit of
 		// everything feasibility already demands.
 		s.Feasible = true
-		s.MinUnits = make([]int, len(c.topo))
+		s.MinUnits = make([]int, len(topo))
 		for r := range s.MinUnits {
 			s.MinUnits[r] = 1
 		}
-		return s, nil
-	}
-	cal, err := c.cals.Calibration(p, c.topo)
-	if err != nil {
-		return nil, err
+		return s
 	}
 	lambda := load * cal.MaxQPS
-	full := make(resource.Allocation, len(c.topo))
-	for r := range c.topo {
-		full[r] = c.topo[r].Units
+	full := make(resource.Allocation, len(topo))
+	for r := range topo {
+		full[r] = topo[r].Units
 	}
 	meets := func(alloc resource.Allocation) bool {
-		return p.P95(workload.Physical(c.topo, alloc), lambda, server.DefaultWindow) <= cal.QoSTarget
+		return p.P95(workload.Physical(topo, alloc), lambda, server.DefaultWindow) <= cal.QoSTarget
 	}
 	if !meets(full) {
-		return s, nil // Feasible=false: hopeless even with everything
+		return s // Feasible=false: hopeless even with everything
 	}
 	s.Feasible = true
-	s.MinUnits = make([]int, len(c.topo))
+	s.MinUnits = make([]int, len(topo))
 	probe := full.Clone()
-	for r := range c.topo {
+	for r := range topo {
 		// p95 is monotone in every resource share (more never hurts in
 		// the workload model), so the minimal feasible share is found
 		// by bisection over [1, Units] with the other resources full.
-		lo, hi := 1, c.topo[r].Units
+		lo, hi := 1, topo[r].Units
 		for lo < hi {
 			mid := (lo + hi) / 2
 			probe[r] = mid
@@ -616,7 +657,7 @@ func (c *Cache) computeSolo(name string, load float64) (*Solo, error) {
 		s.MinUnits[r] = lo
 		probe[r] = full[r]
 	}
-	return s, nil
+	return s
 }
 
 // Demand is the admission pre-filter's running state for one mix:
@@ -641,12 +682,18 @@ func (d *Demand) apply(s *Solo, sign int) {
 		d.infeasible += sign
 		return
 	}
-	if d.need == nil {
+	if len(d.need) == 0 {
 		d.need = make([]int, len(s.MinUnits))
 	}
 	for r, u := range s.MinUnits {
 		d.need[r] += sign * u
 	}
+}
+
+// CopyFrom makes d the demand of src's mix, reusing d's storage.
+func (d *Demand) CopyFrom(src *Demand) {
+	d.need = append(d.need[:0], src.need...)
+	d.infeasible = src.infeasible
 }
 
 // Reset empties the mix, keeping the vector's storage.
@@ -660,7 +707,7 @@ func (d *Demand) Feasible() bool { return d.infeasible == 0 }
 
 // Need returns the summed minimum of resource r.
 func (d *Demand) Need(r int) int {
-	if d.need == nil {
+	if len(d.need) == 0 {
 		return 0
 	}
 	return d.need[r]

@@ -7,6 +7,7 @@
 package resource
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -135,6 +136,21 @@ func (t Topology) Index(kind Kind) int {
 		}
 	}
 	return -1
+}
+
+// Key identifies the topology exactly: every field of every resource,
+// unit values by their bits. Equal topologies have equal keys, so
+// memos of per-topology functions index by it.
+func (t Topology) Key() string {
+	var b []byte
+	for _, s := range t {
+		b = binary.AppendVarint(b, int64(s.Kind))
+		b = binary.AppendVarint(b, int64(s.Units))
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(s.UnitValue))
+		b = binary.AppendUvarint(b, uint64(len(s.UnitLabel)))
+		b = append(b, s.UnitLabel...)
+	}
+	return string(b)
 }
 
 // TotalUnits returns the unit count of resource r.

@@ -103,19 +103,72 @@ func (j Job) Lambda() float64 { return j.Load * j.MaxQPS }
 // p95 (Sec. 4).
 const DefaultWindow = 2.0
 
+// calMemo is a concurrency-safe memo of qos.Calibrate by (topology,
+// workload). A calibration is a pure function of the pair — the paper
+// derives it offline, once, before any co-location experiment — so one
+// process-wide memo (calibrations) serves every Calibrations value and
+// every unshared machine. The sweep runs outside the lock and the
+// first write wins, so callers racing on one pair all get the stored
+// value. It holds at most calMemoCap pairs; past the cap, sweeps run
+// and are not stored.
+type calMemo struct {
+	mu sync.Mutex
+	m  map[calKey]qos.Calibration
+}
+
+// calKey is a calibration's argument pair: the topology's Key and the
+// workload.
+type calKey struct {
+	topo string
+	p    *workload.Profile
+}
+
+// calMemoCap bounds the calibration memo: the registry's LC workloads
+// over 32 topologies. A process uses one or two.
+const calMemoCap = 256
+
+// calibrations is the process's calibration memo.
+var calibrations = newCalMemo()
+
+func newCalMemo() *calMemo { return &calMemo{m: make(map[calKey]qos.Calibration)} }
+
+// calibrate returns qos.Calibrate(p, topo), sweeping on first use of
+// the pair.
+func (c *calMemo) calibrate(p *workload.Profile, topo resource.Topology) (qos.Calibration, error) {
+	key := calKey{topo.Key(), p}
+	c.mu.Lock()
+	cal, ok := c.m[key]
+	c.mu.Unlock()
+	if ok {
+		return cal, nil
+	}
+	cal, err := qos.Calibrate(p, topo)
+	if err != nil {
+		return qos.Calibration{}, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if prev, ok := c.m[key]; ok {
+		return prev, nil
+	}
+	if len(c.m) < calMemoCap {
+		c.m[key] = cal
+	}
+	return cal, nil
+}
+
 // Calibrations is a concurrency-safe cache of the pure per-workload
-// functions machines need: QoS calibrations and analytic p95s. A
-// calibration is a pure function of (workload, topology) — the paper
-// derives it offline, once, before any co-location experiment — so
-// there is no reason for every new machine to redo the Fig. 6 load
-// sweep. Likewise an LC job's analytic p95 depends only on (workload,
-// physical allocation, λ, window): the isolation p95 (the NormPerf
-// baseline) is the one at the full machine, and a verify window that
-// replays a cached partition asks for the same few allocations again
-// and again. Cluster schedulers, which build a machine per screen and
-// reset one per verify window, share one cache across all of them, and
-// the profile cache's solo profiles read the same one; the first caller
-// pays each sweep and each p95, and every later caller reuses them.
+// functions machines need: QoS calibrations and analytic p95s. Its
+// calibrations come from the process memo on first use per workload;
+// keeping them in a map of its own makes a hit one name lookup. An LC
+// job's analytic p95 depends only on (workload, physical allocation,
+// λ, window): the isolation p95 (the NormPerf baseline) is the one at
+// the full machine, and a verify window that replays a cached
+// partition asks for the same few allocations again and again. Cluster
+// schedulers, which reset a machine per screen and per verify window,
+// share one cache across all of them, and the profile cache's solo
+// profiles read the same one; the first caller pays each p95, and
+// every later caller reuses it.
 //
 // A Calibrations value assumes all its callers use the same topology
 // (calibrations are keyed by workload name).
@@ -152,10 +205,8 @@ func (c *Calibrations) Len() int {
 	return len(c.m)
 }
 
-// Calibration returns the workload's calibration over topo, running
-// the qos.Calibrate sweep on first use. The sweep runs outside the
-// lock; when two callers race on one workload, first write wins (the
-// sweep is deterministic, so either copy is the same value).
+// Calibration returns the workload's calibration over topo, from the
+// process memo on first use.
 func (c *Calibrations) Calibration(p *workload.Profile, topo resource.Topology) (qos.Calibration, error) {
 	c.mu.Lock()
 	cal, ok := c.m[p.Name]
@@ -163,15 +214,12 @@ func (c *Calibrations) Calibration(p *workload.Profile, topo resource.Topology) 
 	if ok {
 		return cal, nil
 	}
-	cal, err := qos.Calibrate(p, topo)
+	cal, err := calibrations.calibrate(p, topo)
 	if err != nil {
 		return qos.Calibration{}, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if prev, ok := c.m[p.Name]; ok {
-		return prev, nil
-	}
 	c.m[p.Name] = cal
 	return cal, nil
 }
@@ -285,9 +333,9 @@ func (m *Machine) p95(p *workload.Profile, alloc workload.Alloc, lambda float64)
 	return p.P95(alloc, lambda, m.window)
 }
 
-// NewShared is New with a shared calibration cache: AddLC consults it
-// before running the calibration sweep and publishes what it computes.
-// Passing nil is equivalent to New.
+// NewShared is New with a shared calibration cache, which serves
+// AddLC's calibrations and the machine's analytic p95s. Passing nil is
+// equivalent to New.
 func NewShared(topo resource.Topology, spec Spec, seed int64, cals *Calibrations) *Machine {
 	m := New(topo, spec, seed)
 	m.shared = cals
@@ -377,7 +425,7 @@ func (m *Machine) AddLC(name string, load float64) (int, error) {
 		if m.shared != nil {
 			cal, err = m.shared.Calibration(p, m.topo)
 		} else {
-			cal, err = qos.Calibrate(p, m.topo)
+			cal, err = calibrations.calibrate(p, m.topo)
 		}
 		if err != nil {
 			return 0, err

@@ -4,11 +4,12 @@
 # suite under the race detector (the concurrent cluster reschedule
 # path is exercised by TestRescheduleIsDeterministic; the parallel
 # optimization paths by the byte-identity tests), keep the benchmark
-# harness runnable (benchsmoke), and keep the telemetry layer cheap
-# (teleoverhead: CLITERun with tracing on within 5% of off).
+# harness runnable (benchsmoke), keep the telemetry layer cheap
+# (teleoverhead: CLITERun with tracing on within 5% of off), and
+# reproduce every seed-1 experiment byte for byte (expdiff).
 .PHONY: tier1 build vet lint lint-diff linedelta test race bench benchsmoke benchcompare benchfigs perftable teleoverhead trace fuzzsmoke chaossmoke fleetsmoke obssmoke expdiff
 
-tier1: build vet lint race benchsmoke teleoverhead fleetsmoke obssmoke
+tier1: build vet lint race benchsmoke teleoverhead fleetsmoke obssmoke expdiff
 
 build:
 	go build ./...

@@ -98,12 +98,12 @@ type Options struct {
 	// have been built over the same topology the scheduler uses
 	// (resource.Default()). nil keeps a private per-scheduler cache.
 	SharedProfiles *profile.Cache
-	// SharedCalibrations optionally supplies an external QoS
-	// calibration store, whose analytic p95 memo the scheduler's
-	// machines then share with its other users. Calibrations and p95s
-	// are pure functions of their arguments, so sharing them never
-	// perturbs a decision; calibration sweeps run once per process
-	// whatever the store. nil uses the profile cache's store.
+	// SharedCalibrations optionally supplies an external analytic p95
+	// memo, which the scheduler's machines then share with its other
+	// users. p95s are pure functions of their arguments, so sharing
+	// them never perturbs a decision. QoS calibrations come from the
+	// process memo whatever is set here. nil uses the profile cache's
+	// memo.
 	SharedCalibrations *server.Calibrations
 	// Faults optionally injects observation faults into every
 	// screening run — the warehouse's measurement plane is no more
@@ -344,14 +344,10 @@ func (s *Scheduler) Stats() Stats {
 	}
 }
 
-// CacheLen returns the number of distinct job mixes the profile cache
-// has memoized.
-func (s *Scheduler) CacheLen() int { return s.profiles.Len() }
-
 // build places the node's jobs plus an optional extra request on m, a
-// machine reset to the node's seed that shares the scheduler-wide
-// calibration cache, so a workload's QoS calibration costs a trial one
-// map lookup. The request slice is assembled in the node's scratch
+// machine reset to the node's seed that shares the scheduler-wide p95
+// memo; a workload's QoS calibration costs a trial one lookup in the
+// process memo. The request slice is assembled in the node's scratch
 // buffer — each node is built at most once per placement trial, so the
 // buffer is never shared across goroutines.
 func (s *Scheduler) build(m *server.Machine, n *node, extra *Request) error {
@@ -618,17 +614,16 @@ type verdict struct {
 	key      profile.Mix       // class mix plus the arrival, when the cache was asked; aliases Scheduler.keys
 	hit      bool              // the cache held the key
 	entry    *profile.Entry    // a feasible hit
-	donor    bool              // on a miss, the cache found a near donor
-	seeds    []resource.Config // the donor's SeedsFor the candidate's job count
+	seeds    []resource.Config // on a miss, a near donor's SeedsFor the candidate's job count
 }
 
 // judge fills v with the verdict for a class of state st: the
 // pre-filter's, then the profile cache's. Two classes may share a key
-// (same mix, different demand); each asks the cache, which counts per
-// question either way. The scheduler stores to the cache only in
-// commit, never during classify, so a second question gets the first
-// one's answer; if another scheduler sharing the cache stores
-// mid-pass, each class's answer is a state the cache did pass through.
+// (same mix, different demand); each asks the cache. The scheduler
+// stores to the cache only in commit, never during classify, so a
+// second question gets the first one's answer; if another scheduler
+// sharing the cache stores mid-pass, each class's answer is a state
+// the cache did pass through.
 func (s *Scheduler) judge(v *verdict, st *classState, a arrival) {
 	*v = verdict{pass: s.pass, kind: candScreen}
 	if !s.opts.DisablePrefilter && !st.demand.Admits(s.topo, a.solo) {
@@ -649,49 +644,40 @@ func (s *Scheduler) judge(v *verdict, st *classState, a arrival) {
 		return
 	}
 	if donor, _ := s.profiles.LookupNear(v.key, profile.NearTolerance); donor != nil {
-		v.donor = true
 		v.seeds = donor.SeedsFor(st.mix.Len() + 1)
 	}
 }
 
-// tally is one pass's counter movement: the ledger's four
-// per-candidate counters, and the repeats owed to the cache's Stats.
+// tally is one pass's movement of the ledger's four per-candidate
+// counters.
 type tally struct {
 	prefilterRejects, hits, misses, nearHits int64
-	credHits, credMisses, credNear           int
 }
 
 // add counts the members of v's class: each moves the ledger's
-// per-candidate counters, and each member but the one judge asked for
-// owes the cache's Stats the question it would have asked.
+// per-candidate counters.
 func (t *tally) add(v *verdict, members int32) {
-	m, repeats := int64(members), int(members)-1
+	m := int64(members)
 	switch {
 	case v.rejected:
 		t.prefilterRejects += m
 	case v.key == nil: // profile cache off
 	case v.hit:
 		t.hits += m
-		t.credHits += repeats
 	default:
 		t.misses += m
-		t.credMisses += repeats
 		if len(v.seeds) > 0 {
 			t.nearHits += m
-		}
-		if v.donor {
-			t.credNear += repeats
 		}
 	}
 }
 
-// settle adds a pass's tally to the ledger and the cache's Stats.
+// settle adds a pass's tally to the ledger.
 func (s *Scheduler) settle(t *tally) {
 	s.stats.prefilterRejects.Add(t.prefilterRejects)
 	s.stats.cacheHits.Add(t.hits)
 	s.stats.cacheMisses.Add(t.misses)
 	s.stats.cacheNearHits.Add(t.nearHits)
-	s.profiles.Credit(t.credHits, t.credMisses, t.credNear)
 }
 
 // verify spends one observation window checking that a cached

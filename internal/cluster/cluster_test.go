@@ -9,15 +9,16 @@ import (
 
 	"clite/internal/faults"
 	"clite/internal/profile"
+	"clite/internal/qos"
 	"clite/internal/resource"
 	"clite/internal/server"
 )
 
-// TestOneCalibrationMemo pins the calibration memo to one per profile
-// hub: with no SharedCalibrations, a scheduler's machines read the
-// same memo as the profile cache's solo profiles (an overlay's being
-// its hub's), so each workload is swept once; an explicit
-// SharedCalibrations still takes precedence.
+// TestOneCalibrationMemo pins the p95 memo to one per profile hub:
+// with no SharedCalibrations, a scheduler's machines share the profile
+// cache's memo (an overlay's being its hub's), and their jobs carry the
+// process memo's calibrations; an explicit SharedCalibrations still
+// takes precedence.
 func TestOneCalibrationMemo(t *testing.T) {
 	hub := profile.NewCache(resource.Default())
 	overlay := profile.NewOverlay(hub)
@@ -33,8 +34,26 @@ func TestOneCalibrationMemo(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := hub.Calibrations().Len(); n != 2 {
-		t.Errorf("shared memo holds %d calibrations after placing two LC workloads, want 2", n)
+	jobs := 0
+	for _, n := range s.nodes {
+		m := s.trialMachines(1)[0]
+		m.Reset(n.seed)
+		if err := s.build(m, n, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range m.Jobs() {
+			jobs++
+			want, err := qos.Calibrate(j.Workload, s.topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.MaxQPS != want.MaxQPS || j.QoS != want.QoSTarget {
+				t.Errorf("%s: machine job %+v, direct calibration %+v", j.Workload.Name, j, want)
+			}
+		}
+	}
+	if jobs != 2 {
+		t.Errorf("machines built %d jobs, want the 2 placed", jobs)
 	}
 	own := server.NewCalibrations()
 	if s := New(Options{Nodes: 1, SharedProfiles: overlay, SharedCalibrations: own}); s.cals != own {

@@ -160,34 +160,29 @@ type refOutcome struct {
 	seeds []resource.Config
 }
 
-// assessCounts are the counters one assessment pass moves: the
-// scheduler's registry ledger and the profile cache's own stats.
+// assessCounts are the counters of the scheduler's registry ledger
+// that one assessment pass moves.
 type assessCounts struct {
 	prefilterRejects, hits, misses, nearHits int64
-	cacheHits, cacheMisses, cacheNear        int
 }
 
 func (s *Scheduler) assessCounts() assessCounts {
-	cs := s.profiles.Stats()
 	return assessCounts{
 		prefilterRejects: s.stats.prefilterRejects.Value(),
 		hits:             s.stats.cacheHits.Value(),
 		misses:           s.stats.cacheMisses.Value(),
 		nearHits:         s.stats.cacheNearHits.Value(),
-		cacheHits:        cs.Hits, cacheMisses: cs.Misses, cacheNear: cs.NearHits,
 	}
 }
 
 func (a assessCounts) sub(b assessCounts) assessCounts {
 	return assessCounts{
 		a.prefilterRejects - b.prefilterRejects, a.hits - b.hits, a.misses - b.misses, a.nearHits - b.nearHits,
-		a.cacheHits - b.cacheHits, a.cacheMisses - b.cacheMisses, a.cacheNear - b.cacheNear,
 	}
 }
 
 // refAssess classifies every candidate the string-keyed way and
-// returns the counter movement that classification implies. It reads
-// the cache without touching its stats.
+// returns the counter movement that classification implies.
 func refAssess(t *testing.T, s *Scheduler, nodes []*node, req Request) ([]refOutcome, assessCounts, error) {
 	index := refIndex(t, s.profiles)
 	byKey := map[string]*profile.Entry{}
@@ -215,7 +210,6 @@ func refAssess(t *testing.T, s *Scheduler, nodes []*node, req Request) ([]refOut
 		}
 		if e, ok := byKey[refKey(jobs)]; ok {
 			d.hits++
-			d.cacheHits++
 			if e.Feasible {
 				out = append(out, refOutcome{kind: candCached, entry: e})
 			} else {
@@ -224,10 +218,8 @@ func refAssess(t *testing.T, s *Scheduler, nodes []*node, req Request) ([]refOut
 			continue
 		}
 		d.misses++
-		d.cacheMisses++
 		o := refOutcome{kind: candScreen}
 		if donor := refLookupNear(index, jobs, profile.NearTolerance); donor != nil {
-			d.cacheNear++
 			if seeds := donor.SeedsFor(len(jobs)); len(seeds) > 0 {
 				o.seeds = seeds
 				d.nearHits++

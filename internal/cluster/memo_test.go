@@ -63,10 +63,10 @@ func asked(s *Scheduler) int {
 // TestAssessClassMemo runs assess over many nodes that share three
 // states, so most candidates copy their class's verdict, and checks
 // each pass against the per-candidate reference — kinds, entries, warm
-// seeds and every counter, the profile cache's included. Between the
-// two passes the shared cache learns an exact feasible entry, an
-// infeasible one and a near donor; the second pass must see all three,
-// so no verdict can outlive its pass.
+// seeds and every counter. Between the two passes the shared cache
+// learns an exact feasible entry, an infeasible one and a near donor;
+// the second pass must see all three, so no verdict can outlive its
+// pass.
 func TestAssessClassMemo(t *testing.T) {
 	topo := resource.Default()
 	shared := profile.NewCache(topo)
@@ -86,10 +86,10 @@ func TestAssessClassMemo(t *testing.T) {
 		return string(profile.AppendInsert(nil, s.nodes[id].mix, profile.Pack(r.Workload, r.Load)))
 	}
 
-	before := shared.Stats()
+	before := s.Stats()
 	checkAssess(t, s, req)
-	if got := shared.Stats(); got.Misses-before.Misses != 24 || got.Hits != before.Hits {
-		t.Fatalf("first pass: cache stats %+v then %+v, want 24 misses", before, got)
+	if got := s.Stats(); got.CacheMisses-before.CacheMisses != 24 || got.CacheHits != before.CacheHits {
+		t.Fatalf("first pass: stats %+v then %+v, want 24 misses", before, got)
 	}
 	if n := asked(s); n != 3 {
 		t.Fatalf("first pass asked the cache about %d mixes, want 3", n)
@@ -99,11 +99,11 @@ func TestAssessClassMemo(t *testing.T) {
 	shared.Store(&profile.Entry{Key: key(16, req), Feasible: false})
 	shared.Store(&profile.Entry{Key: key(22, Request{Workload: "memcached", Load: 0.4}), Feasible: true,
 		Seeds: []resource.Config{resource.NewConfig(topo, 3)}})
-	before = shared.Stats()
+	before = s.Stats()
 	checkAssess(t, s, req)
-	got := shared.Stats()
-	if got.Hits-before.Hits != 22 || got.Misses-before.Misses != 2 || got.NearHits-before.NearHits != 2 {
-		t.Fatalf("second pass: cache stats %+v then %+v, want 22 hits, 2 misses, 2 near hits", before, got)
+	got := s.Stats()
+	if got.CacheHits-before.CacheHits != 22 || got.CacheMisses-before.CacheMisses != 2 || got.CacheNearHits-before.CacheNearHits != 2 {
+		t.Fatalf("second pass: stats %+v then %+v, want 22 hits, 2 misses, 2 near hits", before, got)
 	}
 	if n := asked(s); n != 3 {
 		t.Fatalf("second pass asked the cache about %d mixes, want 3", n)

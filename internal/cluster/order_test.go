@@ -9,9 +9,8 @@ import (
 )
 
 // tallyCandidates counts a classified pass the per-candidate way: each
-// node in order reads its class's verdict and moves the counters one
-// candidate moves — the ledger's and the cache's own, the judged and
-// repeated questions alike. On a pass that errs, it counts the prefix
+// node in order reads its class's verdict and moves the ledger's
+// counters one candidate moves. On a pass that errs, it counts the prefix
 // the pass reached: the nodes before the first solo-feasible one.
 func tallyCandidates(s *Scheduler, order []*node, failed bool) assessCounts {
 	var d assessCounts
@@ -26,15 +25,10 @@ func tallyCandidates(s *Scheduler, order []*node, failed bool) assessCounts {
 		case v.key == nil:
 		case v.hit:
 			d.hits++
-			d.cacheHits++
 		default:
 			d.misses++
-			d.cacheMisses++
 			if len(v.seeds) > 0 {
 				d.nearHits++
-			}
-			if v.donor {
-				d.cacheNear++
 			}
 		}
 	}

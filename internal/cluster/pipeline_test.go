@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 
+	"clite/internal/profile"
+	"clite/internal/resource"
 	"clite/internal/telemetry"
 )
 
@@ -145,8 +147,9 @@ func TestPrefilterRejectsWithoutScreening(t *testing.T) {
 // TestAblationSwitchesDisableTheLayers makes sure the benchmarking
 // switches really turn the layers off.
 func TestAblationSwitchesDisableTheLayers(t *testing.T) {
+	cache := profile.NewCache(resource.Default())
 	s := New(Options{
-		Nodes: 2, Seed: 3, ScreenIterations: 8,
+		Nodes: 2, Seed: 3, ScreenIterations: 8, SharedProfiles: cache,
 		DisableProfileCache: true, DisablePrefilter: true,
 	})
 	for i := 0; i < 2; i++ {
@@ -164,8 +167,8 @@ func TestAblationSwitchesDisableTheLayers(t *testing.T) {
 	if st.Screens != 2 {
 		t.Errorf("Screens = %d, want 2 (every placement cold)", st.Screens)
 	}
-	if s.CacheLen() != 0 {
-		t.Errorf("cache stored %d entries while disabled", s.CacheLen())
+	if cache.Len() != 0 {
+		t.Errorf("cache stored %d entries while disabled", cache.Len())
 	}
 }
 

@@ -326,10 +326,3 @@ func (p *Problem) projectInPlace(x []float64, a *ascender) {
 		}
 	}
 }
-
-// MaximizeToConfig is Maximize followed by sum-preserving integer
-// rounding, yielding a feasible partition configuration.
-func MaximizeToConfig(p Problem) resource.Config {
-	x := Maximize(p)
-	return resource.RoundFeasible(p.Topo, p.NJobs, x)
-}

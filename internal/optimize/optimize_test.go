@@ -203,14 +203,14 @@ func TestMaximizeUsesWarmStarts(t *testing.T) {
 	}
 }
 
-func TestMaximizeToConfigIsFeasible(t *testing.T) {
+func TestMaximizeRoundedIsFeasible(t *testing.T) {
 	topo := resource.Default()
 	rng := stats.NewRNG(5)
 	f := func(seed int64, jobsByte uint8) bool {
 		nJobs := 2 + int(jobsByte%3)
 		local := rng.Split(seed)
 		peak := resource.Random(topo, nJobs, local).Vector()
-		cfg := MaximizeToConfig(Problem{
+		x := Maximize(Problem{
 			Topo: topo, NJobs: nJobs,
 			Objective:       quadraticObjective(peak),
 			FrozenJob:       -1,
@@ -218,7 +218,7 @@ func TestMaximizeToConfigIsFeasible(t *testing.T) {
 			Iterations:      25,
 			RNG:             local,
 		})
-		return cfg.Validate(topo) == nil
+		return resource.RoundFeasible(topo, nJobs, x).Validate(topo) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

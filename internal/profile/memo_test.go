@@ -120,7 +120,7 @@ func TestSoloMemoBounded(t *testing.T) {
 	}
 	for q := 0; q < soloMemoCap+10; q++ {
 		load := float64(q) * LoadQuantum
-		s, err := tab.solo(p.Name, load, nil)
+		s, err := tab.solo(p.Name, load)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -301,18 +301,6 @@ func SeedsFromResult(res core.Result) []resource.Config {
 	return out
 }
 
-// Stats counts what the cache did. All counters are cumulative.
-type Stats struct {
-	// Hits counts exact-key lookups that found an entry.
-	Hits int
-	// NearHits counts near-miss lookups that found a warm-start donor.
-	NearHits int
-	// Misses counts exact-key lookups that found nothing.
-	Misses int
-	// Stores counts entries committed (first write per key only).
-	Stores int
-}
-
 // Cache memoizes screening outcomes. It is safe for concurrent use;
 // every mutation is deterministic given the sequence of calls, so
 // schedulers that commit entries in a fixed order get identical cache
@@ -326,9 +314,8 @@ type Cache struct {
 	entries map[string]*Entry   // by string(Mix)
 	bySig   map[string][]*Entry // insertion order per signature
 	journal []*Entry            // entries in Store order, for EntriesSince
-	stats   Stats
 
-	// cals memoizes QoS calibrations; an overlay shares its hub's.
+	// cals memoizes analytic p95s; an overlay shares its hub's.
 	cals *server.Calibrations
 }
 
@@ -348,7 +335,7 @@ func newCache(topo resource.Topology, solos *soloTable, cals *server.Calibration
 }
 
 // NewOverlay returns an empty cache over hub's topology that shares
-// hub's QoS calibrations, while mix entries stay private. This is the
+// hub's p95 memo, while mix entries stay private. This is the
 // fleet's per-cell cache shape: the screening memos — whose contents
 // depend on which cell screened the mix — are kept cell-local and
 // exchanged only at deterministic sync points via EntriesSince +
@@ -358,9 +345,9 @@ func NewOverlay(hub *Cache) *Cache {
 	return newCache(hub.topo, hub.solos, hub.cals)
 }
 
-// Calibrations returns the QoS calibration memo the cache's solo
-// profiles use (an overlay's is its hub's), so schedulers can share it
-// with their machines instead of sweeping each workload again.
+// Calibrations returns the cache's analytic p95 memo (an overlay's is
+// its hub's), so the schedulers sharing the cache share it with their
+// machines instead of computing each p95 again.
 func (c *Cache) Calibrations() *server.Calibrations { return c.cals }
 
 // Lookup returns the entry stored under the exact mix.
@@ -368,27 +355,7 @@ func (c *Cache) Lookup(mix Mix) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[string(mix)]
-	if ok {
-		c.stats.Hits++
-	} else {
-		c.stats.Misses++
-	}
 	return e, ok
-}
-
-// Credit counts hits, misses and near hits that a caller answered on
-// the cache's behalf from a memo of earlier Lookup and LookupNear
-// results for the same mix within one pass, so Stats keeps counting
-// one lookup per question asked.
-func (c *Cache) Credit(hits, misses, nearHits int) {
-	if hits == 0 && misses == 0 && nearHits == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats.Hits += hits
-	c.stats.Misses += misses
-	c.stats.NearHits += nearHits
 }
 
 // NearTolerance is the default per-job load distance within which a
@@ -433,11 +400,7 @@ func (c *Cache) LookupNear(mix Mix, tol float64) (*Entry, bool) {
 			best, bestDist = e, total
 		}
 	}
-	if best != nil {
-		c.stats.NearHits++
-		return best, true
-	}
-	return nil, false
+	return best, best != nil
 }
 
 // Store commits an entry under its Key, first write wins: schedulers
@@ -456,7 +419,6 @@ func (c *Cache) Store(e *Entry) bool {
 	sig := string(appendSignature(nil, e.Key))
 	c.bySig[sig] = append(c.bySig[sig], e)
 	c.journal = append(c.journal, e)
-	c.stats.Stores++
 	return true
 }
 
@@ -488,13 +450,6 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Stats returns a snapshot of the cache counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
 // Solo is the analytical solo profile of one workload at one
 // (floor-quantized) load: what the job needs of each resource when it
 // has the rest of the machine to itself. MinUnits[r] is a lower bound
@@ -522,7 +477,7 @@ type Solo struct {
 // solo bucket): one binary search per resource over the noise-free
 // workload model, a few hundred queue evaluations.
 func (c *Cache) Solo(name string, load float64) (*Solo, error) {
-	return c.solos.solo(name, load, c.cals)
+	return c.solos.solo(name, load)
 }
 
 // soloTables is the process memo of solo profiles: one table per
@@ -580,8 +535,9 @@ type soloKey struct {
 }
 
 // solo returns the table's profile of the workload at the load,
-// taking an LC workload's calibration from cals on first use.
-func (t *soloTable) solo(name string, load float64, cals *server.Calibrations) (*Solo, error) {
+// taking an LC workload's calibration from the process memo on first
+// use.
+func (t *soloTable) solo(name string, load float64) (*Solo, error) {
 	q := soloQuantum(load)
 	key := soloKey{intern(name), q}
 	t.mu.Lock()
@@ -596,7 +552,7 @@ func (t *soloTable) solo(name string, load float64, cals *server.Calibrations) (
 	}
 	var cal qos.Calibration
 	if p.Class == workload.LatencyCritical {
-		if cal, err = cals.Calibration(p, t.topo); err != nil {
+		if cal, err = server.Calibrate(p, t.topo); err != nil {
 			return nil, err
 		}
 	}

@@ -124,18 +124,3 @@ func chordKneeIndex(curve []Point) int {
 	}
 	return best
 }
-
-// CalibrateAll calibrates every LC workload on the topology, returning
-// results keyed by workload name.
-func CalibrateAll(t resource.Topology) map[string]Calibration {
-	out := make(map[string]Calibration)
-	for _, p := range workload.LC() {
-		cal, err := Calibrate(p, t)
-		if err != nil {
-			// LC() only returns latency-critical profiles.
-			panic(err)
-		}
-		out[p.Name] = cal
-	}
-	return out
-}

@@ -86,14 +86,14 @@ func TestQoSMetAtModerateLoadViolatedAtOverload(t *testing.T) {
 	}
 }
 
-func TestCalibrateAllCoversEveryLCWorkload(t *testing.T) {
-	cals := CalibrateAll(resource.Default())
-	if len(cals) != len(workload.LC()) {
-		t.Fatalf("calibrated %d workloads, want %d", len(cals), len(workload.LC()))
-	}
+func TestCalibrateCoversEveryLCWorkload(t *testing.T) {
 	for _, p := range workload.LC() {
-		if _, ok := cals[p.Name]; !ok {
-			t.Errorf("missing calibration for %s", p.Name)
+		cal, err := Calibrate(p, resource.Default())
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if cal.Workload != p.Name || cal.MaxQPS <= 0 || cal.QoSTarget <= 0 {
+			t.Errorf("%s: calibration %+v", p.Name, cal)
 		}
 	}
 }

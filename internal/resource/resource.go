@@ -153,9 +153,6 @@ func (t Topology) Key() string {
 	return string(b)
 }
 
-// TotalUnits returns the unit count of resource r.
-func (t Topology) TotalUnits(r int) int { return t[r].Units }
-
 // Dims returns the number of search-space dimensions for nJobs
 // co-located jobs: Nres × Njobs (the paper's definition; the sum
 // constraint makes Njobs−1 of them free per resource).

@@ -11,20 +11,19 @@ import (
 )
 
 // TestCalibrationMemoMatchesDirect checks every LC workload's
-// calibration, through a Calibrations value and through an unshared
+// calibration, through Calibrate and through the jobs of an unshared
 // machine, against a direct qos.Calibrate sweep, on the default
 // topology and on one with fewer cores, whose calibrations differ.
 func TestCalibrationMemoMatchesDirect(t *testing.T) {
 	fewerCores := resource.Default()
 	fewerCores[0].Units = 12
 	for _, topo := range []resource.Topology{resource.Default(), fewerCores} {
-		cals := NewCalibrations()
 		for _, p := range workload.LC() {
 			want, err := qos.Calibrate(p, topo)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := cals.Calibration(p, topo)
+			got, err := Calibrate(p, topo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,15 +31,38 @@ func TestCalibrationMemoMatchesDirect(t *testing.T) {
 				t.Errorf("%s over %d cores: memo %+v, direct %+v", p.Name, topo[0].Units, got, want)
 			}
 			m := New(topo, DefaultSpec(), 1)
-			if _, err := m.AddLC(p.Name, 0.3); err != nil {
+			i, err := m.AddLC(p.Name, 0.3)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if mc, _ := m.Calibration(p.Name); !reflect.DeepEqual(mc, want) {
-				t.Errorf("%s over %d cores: machine %+v, direct %+v", p.Name, topo[0].Units, mc, want)
+			if j := m.Jobs()[i]; j.MaxQPS != want.MaxQPS || j.QoS != want.QoSTarget {
+				t.Errorf("%s over %d cores: machine job %+v, direct %+v", p.Name, topo[0].Units, j, want)
 			}
 		}
-		if cals.Len() != len(workload.LC()) {
-			t.Errorf("Calibrations holds %d workloads, want %d", cals.Len(), len(workload.LC()))
+	}
+}
+
+// TestSharedCalibrationsAcrossTopologies shares one Calibrations value
+// between machines over different topologies: each machine's jobs
+// carry the calibration of its own topology, whichever machine asked
+// first.
+func TestSharedCalibrationsAcrossTopologies(t *testing.T) {
+	cals := NewCalibrations()
+	for seed, topo := range []resource.Topology{resource.Default(), resource.Small(), resource.Default()} {
+		m := NewShared(topo, DefaultSpec(), int64(seed), cals)
+		for _, p := range workload.LC() {
+			want, err := qos.Calibrate(p, topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			i, err := m.AddLC(p.Name, 0.3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j := m.Jobs()[i]; j.MaxQPS != want.MaxQPS || j.QoS != want.QoSTarget {
+				t.Errorf("machine %d, %s: MaxQPS %v QoS %v, direct over its topology %v and %v",
+					seed, p.Name, j.MaxQPS, j.QoS, want.MaxQPS, want.QoSTarget)
+			}
 		}
 	}
 }
@@ -62,7 +84,7 @@ func TestCalibrationMemoConcurrentFirstUse(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			cal, err := NewCalibrations().Calibration(p, topo)
+			cal, err := Calibrate(p, topo)
 			if err != nil {
 				t.Error(err)
 				return
@@ -89,7 +111,7 @@ func TestCalibrationMemoBounded(t *testing.T) {
 	for i := 0; i < calMemoCap+5; i++ {
 		topo := resource.Default()
 		topo[0].Units = 20 + i
-		cal, err := memo.calibrate(p, topo)
+		cal, err := memo.calibrate(p, topo, topo.Key())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -106,11 +106,11 @@ const DefaultWindow = 2.0
 // calMemo is a concurrency-safe memo of qos.Calibrate by (topology,
 // workload). A calibration is a pure function of the pair — the paper
 // derives it offline, once, before any co-location experiment — so one
-// process-wide memo (calibrations) serves every Calibrations value and
-// every unshared machine. The sweep runs outside the lock and the
-// first write wins, so callers racing on one pair all get the stored
-// value. It holds at most calMemoCap pairs; past the cap, sweeps run
-// and are not stored.
+// process-wide memo (calibrations) is the only calibration store: every
+// machine and every solo profile reads it. The sweep runs outside the
+// lock and the first write wins, so callers racing on one pair all get
+// the stored value. It holds at most calMemoCap pairs; past the cap,
+// sweeps run and are not stored.
 type calMemo struct {
 	mu sync.Mutex
 	m  map[calKey]qos.Calibration
@@ -132,10 +132,16 @@ var calibrations = newCalMemo()
 
 func newCalMemo() *calMemo { return &calMemo{m: make(map[calKey]qos.Calibration)} }
 
-// calibrate returns qos.Calibrate(p, topo), sweeping on first use of
-// the pair.
-func (c *calMemo) calibrate(p *workload.Profile, topo resource.Topology) (qos.Calibration, error) {
-	key := calKey{topo.Key(), p}
+// Calibrate returns qos.Calibrate(p, topo) from the process memo,
+// sweeping on first use of the pair.
+func Calibrate(p *workload.Profile, topo resource.Topology) (qos.Calibration, error) {
+	return calibrations.calibrate(p, topo, topo.Key())
+}
+
+// calibrate returns qos.Calibrate(p, topo), where topoKey is
+// topo.Key(), sweeping on first use of the pair.
+func (c *calMemo) calibrate(p *workload.Profile, topo resource.Topology, topoKey string) (qos.Calibration, error) {
+	key := calKey{topoKey, p}
 	c.mu.Lock()
 	cal, ok := c.m[key]
 	c.mu.Unlock()
@@ -157,24 +163,18 @@ func (c *calMemo) calibrate(p *workload.Profile, topo resource.Topology) (qos.Ca
 	return cal, nil
 }
 
-// Calibrations is a concurrency-safe cache of the pure per-workload
-// functions machines need: QoS calibrations and analytic p95s. Its
-// calibrations come from the process memo on first use per workload;
-// keeping them in a map of its own makes a hit one name lookup. An LC
-// job's analytic p95 depends only on (workload, physical allocation,
-// λ, window): the isolation p95 (the NormPerf baseline) is the one at
-// the full machine, and a verify window that replays a cached
-// partition asks for the same few allocations again and again. Cluster
-// schedulers, which reset a machine per screen and per verify window,
-// share one cache across all of them, and the profile cache's solo
-// profiles read the same one; the first caller pays each p95, and
-// every later caller reuses it.
-//
-// A Calibrations value assumes all its callers use the same topology
-// (calibrations are keyed by workload name).
+// Calibrations is a concurrency-safe memo of analytic p95s, shared by
+// machines. An LC job's analytic p95 depends only on (workload,
+// physical allocation, λ, window): the isolation p95 (the NormPerf
+// baseline) is the one at the full machine, and a verify window that
+// replays a cached partition asks for the same few allocations again
+// and again. Cluster schedulers, which reset a machine per screen and
+// per verify window, share one memo across all of them; the first
+// caller pays each p95, and every later caller reuses it. QoS
+// calibrations are not kept here: every machine reads them from the
+// process memo (Calibrate), keyed by topology and workload.
 type Calibrations struct {
 	mu  sync.Mutex
-	m   map[string]qos.Calibration
 	p95 map[p95Key]float64
 }
 
@@ -193,41 +193,14 @@ type p95Key struct {
 // cap, values are computed and not stored.
 const p95MemoCap = 4096
 
-// NewCalibrations returns an empty shared calibration cache.
+// NewCalibrations returns an empty shared p95 memo.
 func NewCalibrations() *Calibrations {
-	return &Calibrations{m: make(map[string]qos.Calibration), p95: make(map[p95Key]float64)}
-}
-
-// Len reports how many workloads have been calibrated.
-func (c *Calibrations) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// Calibration returns the workload's calibration over topo, from the
-// process memo on first use.
-func (c *Calibrations) Calibration(p *workload.Profile, topo resource.Topology) (qos.Calibration, error) {
-	c.mu.Lock()
-	cal, ok := c.m[p.Name]
-	c.mu.Unlock()
-	if ok {
-		return cal, nil
-	}
-	cal, err := calibrations.calibrate(p, topo)
-	if err != nil {
-		return qos.Calibration{}, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[p.Name] = cal
-	return cal, nil
+	return &Calibrations{p95: make(map[p95Key]float64)}
 }
 
 // P95 returns p.P95(alloc, lambda, window), computing it on first use
-// of the exact (workload, allocation, λ, window) tuple. Like
-// Calibration, it computes outside the lock; callers racing on one key
-// compute the same value.
+// of the exact (workload, allocation, λ, window) tuple. It computes
+// outside the lock; callers racing on one key compute the same value.
 func (c *Calibrations) P95(p *workload.Profile, alloc workload.Alloc, lambda, window float64) float64 {
 	key := p95Key{
 		workload: p, cores: alloc.Cores,
@@ -259,9 +232,9 @@ type Machine struct {
 	rng    *stats.RNG
 	window float64
 
+	topoKey      string  // topo.Key(), the machine's calibration memo key
 	clock        float64 // simulated seconds elapsed
 	observations int
-	calibrations map[string]qos.Calibration
 	shared       *Calibrations
 
 	// Isolation baselines, maintained eagerly so the measurement hot
@@ -285,26 +258,24 @@ type Machine struct {
 // measurement-noise stream derived from seed.
 func New(topo resource.Topology, spec Spec, seed int64) *Machine {
 	m := &Machine{
-		topo:         topo,
-		spec:         spec,
-		isol:         isolation.NewManager(topo),
-		calibrations: make(map[string]qos.Calibration),
-		fullAlloc:    workload.FullMachine(topo),
+		topo:      topo,
+		spec:      spec,
+		isol:      isolation.NewManager(topo),
+		topoKey:   topo.Key(),
+		fullAlloc: workload.FullMachine(topo),
 	}
 	m.Reset(seed)
 	return m
 }
 
 // Reset returns the machine to the state New(topology, spec, seed)
-// builds, reusing its storage; the shared calibration cache stays
-// attached. A scheduler observing one node after another resets a
+// builds, reusing its storage; the shared p95 memo stays attached. A scheduler observing one node after another resets a
 // single machine instead of building one per trial.
 func (m *Machine) Reset(seed int64) {
 	m.jobs = m.jobs[:0]
 	m.isoP95 = m.isoP95[:0]
 	m.clock = 0
 	m.observations = 0
-	clear(m.calibrations)
 	m.isol.Reset()
 	m.SetTelemetry(nil, nil)
 	m.window = DefaultWindow
@@ -333,9 +304,8 @@ func (m *Machine) p95(p *workload.Profile, alloc workload.Alloc, lambda float64)
 	return p.P95(alloc, lambda, m.window)
 }
 
-// NewShared is New with a shared calibration cache, which serves
-// AddLC's calibrations and the machine's analytic p95s. Passing nil is
-// equivalent to New.
+// NewShared is New with a shared p95 memo, which serves the machine's
+// analytic p95s. Passing nil is equivalent to New.
 func NewShared(topo resource.Topology, spec Spec, seed int64, cals *Calibrations) *Machine {
 	m := New(topo, spec, seed)
 	m.shared = cals
@@ -420,18 +390,10 @@ func (m *Machine) AddLC(name string, load float64) (int, error) {
 	if !(load > 0 && load <= 1.5) {
 		return 0, fmt.Errorf("server: load %v out of range (0, 1.5]", load)
 	}
-	cal, ok := m.calibrations[name]
-	if !ok {
-		if m.shared != nil {
-			cal, err = m.shared.Calibration(p, m.topo)
-		} else {
-			cal, err = calibrations.calibrate(p, m.topo)
-		}
-		if err != nil {
-			return 0, err
-		}
+	cal, err := calibrations.calibrate(p, m.topo, m.topoKey)
+	if err != nil {
+		return 0, err
 	}
-	m.calibrations[name] = cal
 	m.jobs = append(m.jobs, Job{
 		Workload: p,
 		Load:     load,
@@ -686,10 +648,3 @@ func (m *Machine) Observations() int { return m.observations }
 
 // ActuationCost returns the cumulative simulated actuator latency.
 func (m *Machine) ActuationCost() time.Duration { return m.isol.ActuationCost() }
-
-// Calibration exposes the QoS calibration used for an LC workload
-// hosted on this machine.
-func (m *Machine) Calibration(name string) (qos.Calibration, bool) {
-	cal, ok := m.calibrations[name]
-	return cal, ok
-}

@@ -70,8 +70,8 @@ func TestAddLCCalibratesOnce(t *testing.T) {
 	if got := job.Lambda(); got != 0.4*job.MaxQPS {
 		t.Errorf("Lambda = %v", got)
 	}
-	if _, ok := m.Calibration("memcached"); !ok {
-		t.Error("calibration should be cached")
+	if cal, err := Calibrate(job.Workload, m.Topology()); err != nil || cal.MaxQPS != job.MaxQPS || cal.QoSTarget != job.QoS {
+		t.Errorf("job %+v does not carry the memo's calibration %+v (err %v)", job, cal, err)
 	}
 	// Second instance reuses the cache (same numbers).
 	idx2, _ := m.AddLC("memcached", 0.1)
@@ -369,23 +369,15 @@ func TestSharedCalibrationsAcrossMachines(t *testing.T) {
 	if _, err := m1.AddLC("memcached", 0.3); err != nil {
 		t.Fatal(err)
 	}
-	if cals.Len() != 1 {
-		t.Fatalf("shared cache has %d entries, want 1", cals.Len())
-	}
-	cal1, _ := m1.Calibration("memcached")
+	job1 := m1.Jobs()[0]
 
-	// A second machine sharing the cache sees the same calibration and
-	// adds nothing new.
+	// A second machine sharing the cache sees the same calibration.
 	m2 := NewShared(resource.Default(), DefaultSpec(), 2, cals)
 	if _, err := m2.AddLC("memcached", 0.7); err != nil {
 		t.Fatal(err)
 	}
-	cal2, ok := m2.Calibration("memcached")
-	if !ok || cal2.MaxQPS != cal1.MaxQPS || cal2.QoSTarget != cal1.QoSTarget {
-		t.Errorf("shared calibration diverged: %+v vs %+v", cal2, cal1)
-	}
-	if cals.Len() != 1 {
-		t.Errorf("shared cache grew to %d entries on reuse", cals.Len())
+	if job2 := m2.Jobs()[0]; job2.MaxQPS != job1.MaxQPS || job2.QoS != job1.QoS {
+		t.Errorf("shared calibration diverged: %+v vs %+v", job2, job1)
 	}
 
 	// The shared values match what an unshared machine computes.
@@ -393,9 +385,8 @@ func TestSharedCalibrationsAcrossMachines(t *testing.T) {
 	if _, err := m3.AddLC("memcached", 0.3); err != nil {
 		t.Fatal(err)
 	}
-	cal3, _ := m3.Calibration("memcached")
-	if cal3.MaxQPS != cal1.MaxQPS || cal3.QoSTarget != cal1.QoSTarget {
-		t.Errorf("shared and unshared calibrations diverge: %+v vs %+v", cal1, cal3)
+	if job3 := m3.Jobs()[0]; job3.MaxQPS != job1.MaxQPS || job3.QoS != job1.QoS {
+		t.Errorf("shared and unshared calibrations diverge: %+v vs %+v", job1, job3)
 	}
 
 	// nil shared cache is equivalent to New.
